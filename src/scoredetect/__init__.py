@@ -7,14 +7,12 @@ uncertainty classes, false-alarm calibration, and a Monte Carlo ARL/EDD
 benchmark harness.
 """
 
-from .bench import (SweepRow, TrialSpec, TrialSummary, arl_edd_sweep,
-                    estimate_arl, estimate_drift, estimate_edd,
-                    write_sweep_csv)
+from .bench import (SweepRow, TrialSummary, arl_edd_sweep, estimate_drift,
+                    run_lengths, write_sweep_csv)
 from .calibration import (CalibrationError, DriftSignError, RhoSolution,
                           RHO_CAP, mgf_gap, solve_rho_star, threshold_for_arl)
 from .detectors import (DetectorConfig, DetectorState, RunResult,
-                        batch_scores, cusum_log_lr_step, instantaneous_score,
-                        run_stream, step)
+                        batch_scores, cusum_log_lr_step, run_stream, step)
 from .lfd import (BetaNetwork, DisjointnessError, DriftConditionReport,
                   LfdPair, MeanPolytope, TrainConfig, TrainReport,
                   TrainingDivergedError, gaussian_polytope_lfd,
@@ -23,9 +21,8 @@ from .models import (Gaussian, GaussianMixture, Gbrbm, ModelError,
                      ScoreMixture, fisher_gaussian, fisher_mc,
                      hutchinson_laplacian)
 from .rngs import RngStream, as_generator
-from .samplers import LangevinConfig, gibbs_gbrbm, langevin_chain, sample
-from .serialize import (dump_lfd_pair, dump_model, load_lfd_pair, load_model,
-                        write_json)
+from .samplers import LangevinConfig, gibbs_gbrbm, langevin_chain
+from .serialize import dump_lfd_pair, load_lfd_pair, load_model, write_json
 
 __version__ = "0.1.0"
 
@@ -35,12 +32,11 @@ __all__ = [
     "GaussianMixture", "Gbrbm", "LangevinConfig", "LfdPair", "MeanPolytope",
     "ModelError", "RHO_CAP", "RhoSolution", "RngStream", "RunResult",
     "ScoreMixture", "SweepRow", "TrainConfig", "TrainReport",
-    "TrainingDivergedError", "TrialSpec", "TrialSummary", "arl_edd_sweep",
-    "as_generator", "batch_scores", "cusum_log_lr_step", "dump_lfd_pair",
-    "dump_model", "estimate_arl", "estimate_drift", "estimate_edd",
+    "TrainingDivergedError", "TrialSummary", "arl_edd_sweep", "as_generator",
+    "batch_scores", "cusum_log_lr_step", "dump_lfd_pair", "estimate_drift",
     "fisher_gaussian", "fisher_mc", "gaussian_polytope_lfd", "gibbs_gbrbm",
-    "hutchinson_laplacian", "instantaneous_score", "langevin_chain",
-    "load_lfd_pair", "load_model", "mgf_gap", "run_stream", "sample",
-    "solve_rho_star", "step", "threshold_for_arl", "train_beta_networks",
-    "verify_drift_condition", "write_json", "write_sweep_csv",
+    "hutchinson_laplacian", "langevin_chain", "load_lfd_pair", "load_model",
+    "mgf_gap", "run_lengths", "run_stream", "solve_rho_star", "step",
+    "threshold_for_arl", "train_beta_networks", "verify_drift_condition",
+    "write_json", "write_sweep_csv",
 ]

@@ -3,15 +3,14 @@ expected detection delay (EDD) for score-based CUSUM detectors.
 
 Paths are simulated in fixed-size shards that advance in lockstep, each
 shard drawing from its own deterministic substream, so results are exactly
-reproducible for a fixed stream no matter how shards are scheduled.  A
-single pass records the first crossing of every threshold in a sweep at
-once, which is valid because first-crossing times of a shared statistic
-path are monotone in the threshold.
+reproducible for a fixed stream.  A single pass records the first crossing
+of every threshold in a grid at once, which is valid because first-crossing
+times of a shared statistic path are monotone in the threshold; a single
+threshold is a one-point grid.
 """
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,10 @@ from .detectors import DetectorConfig, batch_scores
 from .rngs import RngStream
 
 __all__ = [
-    "TrialSpec",
     "TrialSummary",
     "SweepRow",
     "estimate_drift",
-    "estimate_arl",
-    "estimate_edd",
+    "run_lengths",
     "arl_edd_sweep",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
@@ -45,32 +42,6 @@ SWEEP_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class TrialSpec:
-    """One benchmark condition.
-
-    ``change_point`` is ``math.inf`` for run-length (no change) experiments
-    and 1 for detection-delay experiments where every observation is already
-    post-change.
-    """
-
-    p_inf: object
-    p_post: object
-    detector: DetectorConfig
-    change_point: float
-    paths: int
-    cap: int
-    rng: RngStream
-
-    def __post_init__(self):
-        if self.change_point != 1 and not math.isinf(self.change_point):
-            raise ValueError("change_point must be 1 or math.inf")
-        if self.paths < 1 or self.cap < 1:
-            raise ValueError("paths and cap must be at least 1")
-        if not isinstance(self.rng, RngStream):
-            raise TypeError("TrialSpec.rng must be an RngStream")
-
-
-@dataclass(frozen=True)
 class TrialSummary:
     """Mean stopping time with its uncertainty and censoring bookkeeping.
 
@@ -83,8 +54,6 @@ class TrialSummary:
     censored: int
     paths: int
     is_lower_bound: bool
-    drift_pre: float | None = None
-    drift_post: float | None = None
 
 
 @dataclass(frozen=True)
@@ -109,21 +78,19 @@ def estimate_drift(model, detector: DetectorConfig, n: int, rng):
 
 
 def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
-                     paths: int, cap: int, stream: RngStream, workers: int = 1):
+                     paths: int, cap: int, stream: RngStream):
     """First crossing time of each threshold for every path.
 
     Returns ``(times, censored)`` with shapes ``(paths, len(omegas))``;
     censored entries hold the cap.  Thresholds must be sorted ascending.
     A path retires once it has crossed the largest threshold.  Shards have
-    a fixed width and their own substreams, and each writes a disjoint
-    slice of the output, so worker count never changes the result.
+    a fixed width and their own substreams, so the result depends only on
+    ``stream``.
     """
     n_omega = omegas.size
     times = np.full((paths, n_omega), cap, dtype=np.int64)
     censored = np.ones((paths, n_omega), dtype=bool)
-
-    def run_shard(job):
-        shard_index, start = job
+    for shard_index, start in enumerate(range(0, paths, _SHARD_PATHS)):
         count = min(_SHARD_PATHS, paths - start)
         gen = stream.substream(shard_index).generator()
         stat = np.zeros(count)
@@ -148,14 +115,6 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
                 alive = alive[~done[alive].all(axis=1)]
                 if alive.size == 0:
                     break
-
-    jobs = list(enumerate(range(0, paths, _SHARD_PATHS)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_shard, jobs))
-    else:
-        for job in jobs:
-            run_shard(job)
     return times, censored
 
 
@@ -167,35 +126,17 @@ def _summarize(times_col, censored_col, paths) -> TrialSummary:
     return TrialSummary(mean, stderr, n_cens, paths, n_cens > 0)
 
 
-def estimate_arl(spec: TrialSpec, workers: int = 1) -> TrialSummary:
-    """Average run length: mean time to a (false) alarm with no change."""
-    if not math.isinf(spec.change_point):
-        raise ValueError("ARL estimation requires change_point = math.inf")
-    omegas = np.array([spec.detector.omega], dtype=float)
-    times, cens = _first_crossings(
-        spec.p_inf, spec.detector, omegas, spec.paths, spec.cap, spec.rng,
-        workers=workers,
-    )
-    return _summarize(times[:, 0], cens[:, 0], spec.paths)
+def run_lengths(law, detector: DetectorConfig, omegas, paths: int, cap: int,
+                rng: RngStream) -> list[TrialSummary]:
+    """Mean stopping time at each threshold of a grid, with observations
+    drawn from ``law`` from the first step on.
 
-
-def estimate_edd(spec: TrialSpec, workers: int = 1) -> TrialSummary:
-    """Expected detection delay with the change active from the start."""
-    if spec.change_point != 1:
-        raise ValueError("EDD estimation requires change_point = 1")
-    omegas = np.array([spec.detector.omega], dtype=float)
-    times, cens = _first_crossings(
-        spec.p_post, spec.detector, omegas, spec.paths, spec.cap, spec.rng,
-        workers=workers,
-    )
-    return _summarize(times[:, 0], cens[:, 0], spec.paths)
-
-
-def arl_edd_sweep(spec: TrialSpec, omegas, arl_paths: int | None = None,
-                  edd_paths: int | None = None, workers: int = 1) -> list[SweepRow]:
-    """ARL and EDD across a threshold grid in one pre-change and one
-    post-change pass.  ``omegas`` must be strictly increasing; the grid is
-    an independent variable, so ``spec.detector.omega`` is ignored here.
+    With the pre-change law this is the average run length (ARL); with the
+    post-change law, the expected detection delay (EDD) of a change at
+    time 1.  ``omegas`` must be non-negative and strictly increasing;
+    ``detector.omega`` is ignored, since the grid replaces it.  Paths still
+    running at ``cap`` enter the mean at the cap and are counted as
+    censored.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -204,32 +145,34 @@ def arl_edd_sweep(spec: TrialSpec, omegas, arl_paths: int | None = None,
         raise ValueError("omegas must be strictly increasing")
     if (omegas < 0).any():
         raise ValueError("omegas must be non-negative")
-    arl_paths = spec.paths if arl_paths is None else int(arl_paths)
-    edd_paths = spec.paths if edd_paths is None else int(edd_paths)
-    t_arl, c_arl = _first_crossings(
-        spec.p_inf, spec.detector, omegas, arl_paths, spec.cap,
-        spec.rng.substream(0), workers=workers,
-    )
-    t_edd, c_edd = _first_crossings(
-        spec.p_post, spec.detector, omegas, edd_paths, spec.cap,
-        spec.rng.substream(1), workers=workers,
-    )
-    rows = []
-    for j, omega in enumerate(omegas):
-        arl = _summarize(t_arl[:, j], c_arl[:, j], arl_paths)
-        edd = _summarize(t_edd[:, j], c_edd[:, j], edd_paths)
-        rows.append(
-            SweepRow(
-                omega=float(omega),
-                arl=arl.mean_stop,
-                arl_stderr=arl.stderr,
-                arl_censored=arl.censored,
-                edd=edd.mean_stop,
-                edd_stderr=edd.stderr,
-                edd_censored=edd.censored,
-            )
+    if paths < 1 or cap < 1:
+        raise ValueError("paths and cap must be at least 1")
+    if not isinstance(rng, RngStream):
+        raise TypeError("run_lengths needs an RngStream")
+    times, cens = _first_crossings(law, detector, omegas, paths, cap, rng)
+    return [_summarize(times[:, j], cens[:, j], paths) for j in range(omegas.size)]
+
+
+def arl_edd_sweep(p_inf, p_post, detector: DetectorConfig, omegas,
+                  arl_paths: int, edd_paths: int, cap: int,
+                  rng: RngStream) -> list[SweepRow]:
+    """ARL under ``p_inf`` and EDD under ``p_post`` across a threshold
+    grid: one :func:`run_lengths` pass each, on substreams 0 and 1 of
+    ``rng``."""
+    arl = run_lengths(p_inf, detector, omegas, arl_paths, cap, rng.substream(0))
+    edd = run_lengths(p_post, detector, omegas, edd_paths, cap, rng.substream(1))
+    return [
+        SweepRow(
+            omega=float(omega),
+            arl=a.mean_stop,
+            arl_stderr=a.stderr,
+            arl_censored=a.censored,
+            edd=e.mean_stop,
+            edd_stderr=e.stderr,
+            edd_censored=e.censored,
         )
-    return rows
+        for omega, a, e in zip(np.asarray(omegas, dtype=float), arl, edd)
+    ]
 
 
 def write_sweep_csv(rows, fp) -> None:

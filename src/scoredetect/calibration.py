@@ -7,9 +7,10 @@ on the average run length as soon as ``E_inf[exp(rho z(X))] <= 1``.  With
 
 (``h(0) = 0``, ``h`` strictly convex, ``h'(0) < 0`` whenever the pre-change
 drift is negative), the largest admissible multiplier is the positive root
-``rho*`` of ``h`` when one exists.  The detector threshold for a target
-average run length ``gamma`` is then ``omega = log(gamma) / rho``, giving
-``ARL >= exp(rho * omega) = gamma``.
+``rho*`` of ``h`` when one exists.  The detector adds the scaled increments,
+so its statistic already carries ``rho``, and the threshold for a target
+average run length ``gamma`` is ``omega = log(gamma)``, giving
+``ARL >= exp(omega) = gamma`` for every admissible ``rho``.
 
 ``h`` is estimated by Monte Carlo with common random numbers: the increment
 sample is drawn once and reused for every ``rho``, making the estimate a
@@ -232,10 +233,9 @@ def solve_rho_star(p_inf, pair, n: int, rng, tol: float = 0.01,
     return RhoSolution(0.5 * (lo + hi), tuple(curve), "monte_carlo")
 
 
-def threshold_for_arl(gamma: float, rho: float) -> float:
-    """Threshold delivering ``ARL >= gamma``: ``omega = log(gamma) / rho``."""
+def threshold_for_arl(gamma: float) -> float:
+    """Threshold delivering ``ARL >= gamma`` for a detector whose multiplier
+    satisfies ``E_inf[exp(rho z)] <= 1``: ``omega = log(gamma)``."""
     if not gamma >= 1:
         raise ValueError("gamma must be at least 1")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return math.log(gamma) / rho
+    return math.log(gamma)

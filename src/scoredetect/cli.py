@@ -13,16 +13,15 @@ pre-change drift.
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .bench import SweepRow, arl_edd_sweep, estimate_drift, write_sweep_csv
+from .bench import arl_edd_sweep, estimate_drift, write_sweep_csv
 from .calibration import (CalibrationError, DriftSignError, solve_rho_star,
                           threshold_for_arl)
-from .detectors import DetectorConfig, DetectorState, run_stream, step
+from .detectors import DetectorConfig, DetectorState, step
 from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
@@ -202,7 +201,7 @@ def cmd_calibrate(cfg, args):
     )
     gammas = section.get("gammas", [])
     thresholds = [
-        {"gamma": float(g), "omega": threshold_for_arl(float(g), sol.rho_star)}
+        {"gamma": float(g), "omega": threshold_for_arl(float(g))}
         for g in gammas
     ]
     payload = dump_rho_solution(sol)
@@ -219,7 +218,6 @@ def cmd_bench(cfg, args):
     table = _models_table(cfg)
     out = _out_dir(cfg, args)
     stream = _seed_stream(cfg, args)
-    from .bench import TrialSpec
     drift_lines = ["trial,pre_drift,pre_stderr,post_drift,post_stderr"]
     for i, trial in enumerate(_require(section, "trials", "bench")):
         name = _require(trial, "name", "bench.trials")
@@ -239,20 +237,12 @@ def cmd_bench(cfg, args):
         )
         omegas = trial.get("omegas")
         if omegas:
-            spec = TrialSpec(
-                p_inf=p_inf,
-                p_post=p_post,
-                detector=detector,
-                change_point=math.inf,
-                paths=int(trial.get("arl_paths", 2000)),
-                cap=int(trial.get("cap", 100000)),
-                rng=tstream.substream(2),
-            )
             rows = arl_edd_sweep(
-                spec, np.asarray(omegas, float),
+                p_inf, p_post, detector, np.asarray(omegas, float),
                 arl_paths=int(trial.get("arl_paths", 2000)),
                 edd_paths=int(trial.get("edd_paths", 5000)),
-                workers=args.workers,
+                cap=int(trial.get("cap", 100000)),
+                rng=tstream.substream(2),
             )
             path = os.path.join(out, f"{name}_sweep.csv")
             write_sweep_csv(rows, path)
@@ -336,8 +326,6 @@ def _build_parser():
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for path simulation")
     parser.add_argument("--out", help="output directory (default: config 'out' or '.')")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("lfd", help="identify the least-favorable model pair")
@@ -361,9 +349,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -26,7 +26,6 @@ __all__ = [
     "DetectorConfig",
     "DetectorState",
     "RunResult",
-    "instantaneous_score",
     "batch_scores",
     "step",
     "run_stream",
@@ -77,27 +76,23 @@ class RunResult:
         return self.stopping_time is None
 
 
-def instantaneous_score(cfg: DetectorConfig, x, rng=None):
-    """Per-observation increment ``rho * (S(x, inf) - S(x, post))``."""
-    return cfg.rho * (
-        cfg.model_inf.hyvarinen(x, rng=rng) - cfg.model_post.hyvarinen(x, rng=rng)
-    )
-
-
 def _stochastic_mixture(model) -> bool:
     return isinstance(model, ScoreMixture) and not model.has_exact_laplacian
 
 
 def batch_scores(cfg: DetectorConfig, x, rng=None):
-    """Vectorized increments for a batch of observations.
+    """Increments ``rho * (S(x, inf) - S(x, post))`` for one observation
+    ``(d,)`` (a float) or a batch ``(..., d)``.
 
-    When both models are score mixtures with stochastic Laplacians the same
-    Hutchinson probes are reused for the two fields, which keeps the
-    estimate unbiased while cancelling most of the probe noise in their
-    difference.
+    ``step``, the benchmark sweeps and the calibration all call it, so a
+    detector has the same increments everywhere.  When both models are
+    score mixtures with stochastic Laplacians the same Hutchinson probes
+    are reused for the two fields, which keeps the estimate unbiased while
+    cancelling most of the probe noise in their difference.
     """
-    if _stochastic_mixture(cfg.model_inf) and _stochastic_mixture(cfg.model_post) \
-            and cfg.model_inf.n_probes == cfg.model_post.n_probes and rng is not None:
+    if rng is not None and _stochastic_mixture(cfg.model_inf) \
+            and _stochastic_mixture(cfg.model_post) \
+            and cfg.model_inf.n_probes == cfg.model_post.n_probes:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         gen = as_generator(rng)
         n_probes = cfg.model_inf.n_probes
@@ -109,12 +104,14 @@ def batch_scores(cfg: DetectorConfig, x, rng=None):
             vals.append(0.5 * np.sum(s * s, axis=-1) + lap)
         out = cfg.rho * (vals[0] - vals[1])
         return float(out[0]) if np.asarray(x).ndim == 1 else out
-    return instantaneous_score(cfg, x, rng=rng)
+    return cfg.rho * (
+        cfg.model_inf.hyvarinen(x, rng=rng) - cfg.model_post.hyvarinen(x, rng=rng)
+    )
 
 
 def step(cfg: DetectorConfig, state: DetectorState, x, rng=None) -> DetectorState:
     """Advance the reflected recursion by one observation (state is mutated)."""
-    inc = instantaneous_score(cfg, x, rng=rng)
+    inc = batch_scores(cfg, x, rng=rng)
     return _advance(state, float(inc), cfg.omega)
 
 

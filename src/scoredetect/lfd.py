@@ -380,10 +380,6 @@ class BetaNetwork:
         beta, _, _ = self._forward_full(flat)
         return beta.reshape(x.shape[:-1] + (self.outputs,))
 
-    @property
-    def n_outputs(self) -> int:
-        return self.outputs
-
     def get_params(self) -> np.ndarray:
         return np.concatenate(
             [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .rngs import as_generator
-from .samplers import LangevinConfig, gibbs_gbrbm, langevin_chain
+from .samplers import LangevinConfig, _sigmoid, gibbs_gbrbm, langevin_chain
 
 __all__ = [
     "ModelError",
@@ -42,10 +42,6 @@ FD_STEP_SCALE = 1e-4
 
 class ModelError(ValueError):
     """Invalid model parameters or evaluation points."""
-
-
-def _sigmoid(t):
-    return np.exp(-np.logaddexp(0.0, -t))
 
 
 def _softplus(t):
@@ -364,7 +360,7 @@ class ScoreMixture(ScoreModel):
             isinstance(b, Gaussian) for b in self.basis
         )
 
-    def laplacian(self, x, rng=None, n_probes=None):
+    def laplacian(self, x, rng=None):
         x = self._points(x)
         if self.has_exact_laplacian:
             traces = np.array([b.trace_inv for b in self.basis])
@@ -376,7 +372,7 @@ class ScoreMixture(ScoreModel):
                 "the Laplacian of a non-Gaussian score mixture is stochastic;"
                 " pass rng= for Hutchinson probes"
             )
-        return hutchinson_laplacian(self, x, n_probes or self.n_probes, rng)
+        return hutchinson_laplacian(self, x, self.n_probes, rng)
 
     def sample(self, n, rng, refresh=None):
         """Draw via the first basis member's sampler, then Langevin-refresh

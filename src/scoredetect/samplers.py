@@ -1,5 +1,6 @@
-"""Samplers: exact draws, block Gibbs for the Gauss-Bernoulli RBM, and
-unadjusted Langevin refreshes for score mixtures.
+"""Samplers: block Gibbs for the Gauss-Bernoulli RBM and unadjusted
+Langevin refreshes for score mixtures.  Exact draws are each model's own
+``sample`` method.
 
 All functions are pure given their inputs and an explicit RNG; none touch
 global random state.  Models are duck-typed: anything exposing the handful
@@ -13,33 +14,22 @@ import numpy as np
 
 from .rngs import as_generator
 
-__all__ = ["LangevinConfig", "sample", "gibbs_gbrbm", "langevin_chain"]
+__all__ = ["LangevinConfig", "gibbs_gbrbm", "langevin_chain"]
 
 
 @dataclass(frozen=True)
 class LangevinConfig:
-    """Unadjusted Langevin settings: step size, steps per refresh, and the
-    particle-population size used when a sampler has to build its own set.
+    """Unadjusted Langevin settings: step size and steps per refresh.
     ``steps = 0`` is allowed and makes the refresh a no-op."""
 
     step: float = 0.01
     steps: int = 1000
-    particles: int = 10000
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("Langevin step size must be positive")
         if self.steps < 0:
             raise ValueError("Langevin step count must be non-negative")
-        if self.particles < 1:
-            raise ValueError("particle count must be at least 1")
-
-
-def sample(model, n: int, rng) -> np.ndarray:
-    """Draw ``n`` exact samples from a model that supports direct sampling."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return model.sample(n, rng)
 
 
 def _sigmoid(t):

@@ -15,16 +15,11 @@ from .models import Gaussian, GaussianMixture, Gbrbm, ModelError, ScoreMixture
 
 __all__ = [
     "load_model",
-    "dump_model",
     "load_lfd_pair",
     "dump_lfd_pair",
     "dump_rho_solution",
     "write_json",
 ]
-
-
-def dump_model(model) -> dict:
-    return model.to_dict()
 
 
 def load_model(d: dict):
@@ -63,8 +58,8 @@ def dump_lfd_pair(pair: LfdPair) -> dict:
         "fisher_gap": pair.fisher_gap,
         "fisher_gap_stderr": pair.fisher_gap_stderr,
         "notes": list(pair.notes),
-        "q_inf": dump_model(pair.q_inf),
-        "q_post": dump_model(pair.q_post),
+        "q_inf": pair.q_inf.to_dict(),
+        "q_post": pair.q_post.to_dict(),
     }
 
 

@@ -20,10 +20,9 @@ from conftest import (GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A,
 from scoredetect import (BetaNetwork, DetectorConfig, Gaussian,
                          GaussianMixture, LangevinConfig, LfdPair,
                          MeanPolytope, RngStream, ScoreMixture, TrainConfig,
-                         TrialSpec, arl_edd_sweep, estimate_arl,
-                         estimate_drift, estimate_edd, fisher_gaussian,
+                         arl_edd_sweep, estimate_drift, fisher_gaussian,
                          fisher_mc, gaussian_polytope_lfd,
-                         hutchinson_laplacian, solve_rho_star,
+                         hutchinson_laplacian, run_lengths, solve_rho_star,
                          threshold_for_arl, train_beta_networks,
                          verify_drift_condition, write_sweep_csv)
 from scoredetect.cli import main as cli_main
@@ -122,14 +121,10 @@ def test_criterion_03_rho_star():
 
 def test_criterion_04_arl_lower_bound():
     stream = RngStream(SEEDS["arl_bound"])
-    det_base = DetectorConfig(INF_A, POST_A, omega=0.0, rho=RHO_STAR)
+    det = DetectorConfig(INF_A, POST_A, omega=0.0, rho=RHO_STAR)
     for k, gamma in enumerate((20.0, 50.0)):
-        omega = threshold_for_arl(gamma, RHO_STAR)
-        det = DetectorConfig(INF_A, POST_A, omega=omega, rho=det_base.rho)
-        spec = TrialSpec(p_inf=INF_A, p_post=POST_A, detector=det,
-                         change_point=math.inf, paths=2000, cap=100000,
-                         rng=stream.substream(k))
-        out = estimate_arl(spec)
+        omega = threshold_for_arl(gamma)
+        out, = run_lengths(INF_A, det, [omega], 2000, 100000, stream.substream(k))
         print(f"gamma={gamma:g} omega={omega:.4f} arl={out.mean_stop:.1f} "
               f"(stderr {out.stderr:.2f}, censored {out.censored})")
         assert out.mean_stop >= gamma
@@ -143,10 +138,7 @@ def test_criterion_05_edd_asymptotics():
                  ("R-BA", POST_A), ("R-BB", POST_B))
     for k, (name, law) in enumerate(post_laws):
         mean, var = drift_stats(law.mean, MEAN_INF_A, MEAN_POST_A)
-        spec = TrialSpec(p_inf=INF_A, p_post=law, detector=det,
-                         change_point=1, paths=5000, cap=100000,
-                         rng=stream.substream(k))
-        out = estimate_edd(spec)
+        out, = run_lengths(law, det, [omega], 5000, 100000, stream.substream(k))
         lo = 0.85 * omega / mean
         hi = 1.15 * omega / mean + (mean * mean + var) / (mean * mean)
         print(f"{name}: edd={out.mean_stop:.2f} (stderr {out.stderr:.2f}) "
@@ -334,10 +326,8 @@ def run_shape_sweeps(seed, tmp_path):
     for k, (name, det, omegas) in enumerate((
             ("robust", robust, ROBUST_OMEGAS),
             ("nonrobust", nonrobust, NONROBUST_OMEGAS))):
-        spec = TrialSpec(p_inf=INF_A, p_post=POST_A, detector=det,
-                         change_point=math.inf, paths=2000, cap=100000,
-                         rng=stream.substream(k))
-        rows = arl_edd_sweep(spec, omegas, arl_paths=2000, edd_paths=5000)
+        rows = arl_edd_sweep(INF_A, POST_A, det, omegas, arl_paths=2000,
+                             edd_paths=5000, cap=100000, rng=stream.substream(k))
         path = tmp_path / f"{name}_sweep.csv"
         write_sweep_csv(rows, path)
         with open(path, newline="") as handle:

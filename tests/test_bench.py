@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import GAP_NEAR, drift_stats
-from scoredetect import (DetectorConfig, RngStream, TrialSpec, arl_edd_sweep,
-                         estimate_arl, estimate_drift, estimate_edd,
-                         write_sweep_csv)
+from scoredetect import (DetectorConfig, RngStream, arl_edd_sweep,
+                         estimate_drift, run_lengths, write_sweep_csv)
 from scoredetect.bench import SWEEP_COLUMNS
 
 
@@ -16,12 +15,9 @@ def detector(inf_a, post_a):
     return DetectorConfig(inf_a, post_a, omega=2.0, rho=1.0)
 
 
-def null_spec(detector, model, seed, paths=512, cap=1000, omega=None):
-    cfg = detector if omega is None else DetectorConfig(
-        detector.model_inf, detector.model_post, omega=omega, rho=detector.rho)
-    return TrialSpec(p_inf=model, p_post=model, detector=cfg,
-                     change_point=math.inf, paths=paths, cap=cap,
-                     rng=RngStream(seed))
+def null_run(detector, model, seed, omega, paths=512, cap=1000):
+    """Run length at the single threshold ``omega``."""
+    return run_lengths(model, detector, [omega], paths, cap, RngStream(seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +48,19 @@ def test_drift_validation(detector, inf_a):
 
 
 def test_zero_threshold_alarms_immediately(detector, inf_a):
-    spec = null_spec(detector, inf_a, 904, paths=64, omega=0.0)
-    out = estimate_arl(spec)
+    out = null_run(detector, inf_a, 904, 0.0, paths=64)
     assert out.mean_stop == 1.0
     assert out.stderr == 0.0
     assert out.censored == 0 and not out.is_lower_bound
 
 
 def test_censoring_is_flagged_and_counted(detector, inf_a):
-    spec = null_spec(detector, inf_a, 905, paths=512, cap=20, omega=1.5)
-    out = estimate_arl(spec)
+    cap = 20
+    out = null_run(detector, inf_a, 905, 1.5, cap=cap)
     assert 0 < out.censored < out.paths
     assert out.is_lower_bound
-    assert out.mean_stop < spec.cap  # some paths alarmed before the cap
-    roomy = null_spec(detector, inf_a, 905, paths=512, cap=100000, omega=1.5)
-    full = estimate_arl(roomy)
+    assert out.mean_stop < cap  # some paths alarmed before the cap
+    full = null_run(detector, inf_a, 905, 1.5, cap=100000)
     assert full.censored == 0 and not full.is_lower_bound
     assert full.mean_stop > out.mean_stop
 
@@ -77,58 +71,40 @@ def test_edd_lands_in_the_wald_window(inf_a, post_a, post_b):
     # reflection at zero
     det = DetectorConfig(inf_a, post_a, omega=10.0, rho=1.0)
     m, var = drift_stats(post_b.mean, inf_a.mean, post_a.mean)
-    spec = TrialSpec(p_inf=inf_a, p_post=post_b, detector=det,
-                     change_point=1, paths=3000, cap=2000, rng=RngStream(906))
-    out = estimate_edd(spec)
+    out, = run_lengths(post_b, det, [det.omega], 3000, 2000, RngStream(906))
     assert out.censored == 0
     lo = 0.85 * det.omega / m
     hi = 1.15 * det.omega / m + (m * m + var) / (m * m)
     assert lo <= out.mean_stop <= hi
 
 
-def test_phase_mismatch_is_rejected(detector, inf_a):
-    spec = null_spec(detector, inf_a, 907, paths=8, cap=10)
+def test_run_lengths_validation(detector, inf_a):
     with pytest.raises(ValueError):
-        estimate_edd(spec)
-    flipped = TrialSpec(p_inf=inf_a, p_post=inf_a, detector=detector,
-                        change_point=1, paths=8, cap=10, rng=RngStream(908))
+        run_lengths(inf_a, detector, [1.0], 0, 10, RngStream(910))
     with pytest.raises(ValueError):
-        estimate_arl(flipped)
-
-
-def test_trial_spec_validation(detector, inf_a):
-    with pytest.raises(ValueError):
-        TrialSpec(inf_a, inf_a, detector, change_point=5, paths=8, cap=10,
-                  rng=RngStream(909))
-    with pytest.raises(ValueError):
-        TrialSpec(inf_a, inf_a, detector, change_point=1, paths=0, cap=10,
-                  rng=RngStream(910))
+        run_lengths(inf_a, detector, [1.0], 8, 0, RngStream(909))
     with pytest.raises(TypeError):
-        TrialSpec(inf_a, inf_a, detector, change_point=1, paths=8, cap=10,
-                  rng=911)
+        run_lengths(inf_a, detector, [1.0], 8, 10, 911)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def test_sweep_is_deterministic_across_worker_counts(detector, inf_a, post_a):
-    spec = TrialSpec(p_inf=inf_a, p_post=post_a, detector=detector,
-                     change_point=math.inf, paths=600, cap=500,
-                     rng=RngStream(912))
+def sweep(detector, inf_a, post_a, seed, grid, arl_paths, edd_paths, cap):
+    return arl_edd_sweep(inf_a, post_a, detector, grid, arl_paths=arl_paths,
+                         edd_paths=edd_paths, cap=cap, rng=RngStream(seed))
+
+
+def test_sweep_is_deterministic(detector, inf_a, post_a):
     grid = [0.5, 1.0, 2.0]
-    serial = arl_edd_sweep(spec, grid, edd_paths=400)
-    threaded = arl_edd_sweep(spec, grid, edd_paths=400, workers=4)
-    assert serial == threaded
-    again = arl_edd_sweep(spec, grid, edd_paths=400)
-    assert serial == again
+    first = sweep(detector, inf_a, post_a, 912, grid, 600, 400, 500)
+    again = sweep(detector, inf_a, post_a, 912, grid, 600, 400, 500)
+    assert first == again
 
 
 def test_sweep_is_monotone_in_the_threshold(detector, inf_a, post_a):
-    spec = TrialSpec(p_inf=inf_a, p_post=post_a, detector=detector,
-                     change_point=math.inf, paths=2000, cap=5000,
-                     rng=RngStream(913))
-    rows = arl_edd_sweep(spec, [0.25, 0.5, 1.0, 2.0], edd_paths=1000)
+    rows = sweep(detector, inf_a, post_a, 913, [0.25, 0.5, 1.0, 2.0], 2000, 1000, 5000)
     arls = [r.arl for r in rows]
     edds = [r.edd for r in rows]
     assert np.all(np.diff(arls) > 0)
@@ -137,17 +113,11 @@ def test_sweep_is_monotone_in_the_threshold(detector, inf_a, post_a):
 
 
 def test_sweep_grid_validation(detector, inf_a, post_a):
-    spec = TrialSpec(p_inf=inf_a, p_post=post_a, detector=detector,
-                     change_point=math.inf, paths=16, cap=10,
-                     rng=RngStream(914))
+    for grid in ([2.0, 1.0], [1.0, 1.0], [], [-1.0, 2.0]):
+        with pytest.raises(ValueError):
+            sweep(detector, inf_a, post_a, 914, grid, 16, 16, 10)
     with pytest.raises(ValueError):
-        arl_edd_sweep(spec, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        arl_edd_sweep(spec, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        arl_edd_sweep(spec, [])
-    with pytest.raises(ValueError):
-        arl_edd_sweep(spec, [-1.0, 2.0])
+        sweep(detector, inf_a, post_a, 914, [1.0], 16, 0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +125,7 @@ def test_sweep_grid_validation(detector, inf_a, post_a):
 
 
 def test_sweep_csv_roundtrip(tmp_path, detector, inf_a, post_a):
-    spec = TrialSpec(p_inf=inf_a, p_post=post_a, detector=detector,
-                     change_point=math.inf, paths=256, cap=200,
-                     rng=RngStream(915))
-    rows = arl_edd_sweep(spec, [0.5, 1.5], edd_paths=256)
+    rows = sweep(detector, inf_a, post_a, 915, [0.5, 1.5], 256, 256, 200)
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, out)
     raw = out.read_bytes()

@@ -164,17 +164,19 @@ def test_mgf_overflow_is_reported(inf_a):
 
 
 def test_threshold_reaches_the_target_arl_bound():
-    omega = threshold_for_arl(1e4, RHO_STAR)
-    assert omega == pytest.approx(4.1865184, abs=1e-6)
-    assert math.exp(RHO_STAR * omega) == pytest.approx(1e4, rel=1e-12)
-    assert threshold_for_arl(1.0, 5.0) == 0.0
+    # the detector already scales its increments by rho, so the bound
+    # ARL >= exp(omega) needs omega = log(gamma) whatever rho is
+    omega = threshold_for_arl(1e4)
+    assert omega == pytest.approx(9.2103404, abs=1e-6)
+    assert math.exp(omega) == pytest.approx(1e4, rel=1e-12)
+    assert threshold_for_arl(1.0) == 0.0
 
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        threshold_for_arl(0.5, 1.0)
+        threshold_for_arl(0.5)
     with pytest.raises(ValueError):
-        threshold_for_arl(10.0, 0.0)
+        threshold_for_arl(math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A, MEAN_POST_B, V_REF
+import scoredetect
 from scoredetect import load_lfd_pair, ScoreMixture
 from scoredetect.cli import main
 
@@ -64,13 +67,6 @@ def test_unknown_model_reference(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["--config", path, "--seed", "1", "--out", str(tmp_path), "sample"]) == 2
     assert "nope" in capsys.readouterr().err
-
-
-def test_workers_must_be_positive(tmp_path, capsys):
-    cfg = base_config(sample={"model": "inf_a", "n": 5})
-    path = write_config(tmp_path, cfg)
-    assert main(["--config", path, "--seed", "1", "--workers", "0", "sample"]) == 2
-    assert "--workers" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_via_argparse(tmp_path):
@@ -167,12 +163,12 @@ def test_calibrate_closed_form(tmp_path, capsys):
     assert main(["--config", path, "--seed", "7", "--out", str(out), "calibrate"]) == 0
     text = capsys.readouterr().out
     assert "rho_star=2.2 method=closed_form degenerate=False" in text
-    assert "gamma=10000 omega=4.186518351" in text
+    assert "gamma=10000 omega=9.210340372" in text
     payload = json.loads((out / "calibration.json").read_text())
     assert payload["rho_star"] == pytest.approx(2.2, abs=1e-12)
     assert len(payload["thresholds"]) == 2
-    assert payload["thresholds"][1]["omega"] == pytest.approx(
-        np.log(20.0) / 2.2, abs=1e-12)
+    for row in payload["thresholds"]:
+        assert np.exp(row["omega"]) == pytest.approx(row["gamma"], rel=1e-12)
 
 
 def test_calibrate_monte_carlo(tmp_path, capsys):
@@ -215,10 +211,10 @@ def bench_config():
 def test_bench_writes_deterministic_outputs(tmp_path, capsys):
     path = write_config(tmp_path, bench_config())
     outs = []
-    for run, workers in (("one", "1"), ("two", "3")):
+    for run in ("one", "two"):
         out = tmp_path / run
         assert main(["--config", path, "--seed", "5", "--out", str(out),
-                     "--workers", workers, "bench"]) == 0
+                     "bench"]) == 0
         outs.append(out)
     text = capsys.readouterr().out
     assert "tiny: pre_drift=" in text
@@ -237,6 +233,19 @@ def test_bench_requires_trials(tmp_path, capsys):
     assert main(["--config", path, "--seed", "5", "--out", str(tmp_path),
                  "bench"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["arl_paths", "edd_paths", "cap"])
+def test_bench_rejects_empty_sweeps(tmp_path, capsys, field):
+    # a sweep without paths has no run lengths to average: the mean would
+    # be NaN, so it is a config error rather than a result
+    cfg = bench_config()
+    cfg["bench"]["trials"][0][field] = 0
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--seed", "5", "--out", str(tmp_path),
+                 "bench"]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "tiny_sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +338,23 @@ def test_sample_gbrbm_with_gibbs_options(tmp_path, capsys):
 # console entry point
 
 
-@pytest.mark.skipif(shutil.which("scoredetect") is None,
-                    reason="console script not on PATH")
 def test_console_script_smoke(tmp_path):
+    # the installed console script when there is one, else the module entry
+    # point of the package this suite imports
+    script = shutil.which("scoredetect")
+    if script is not None:
+        command, env = [script], None
+    else:
+        command = [sys.executable, "-m", "scoredetect.cli"]
+        package_root = os.path.dirname(os.path.dirname(scoredetect.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
     cfg = base_config(sample={"model": "inf_a", "n": 5})
     path = write_config(tmp_path, cfg)
     proc = subprocess.run(
-        ["scoredetect", "--config", path, "--seed", "2", "--out",
-         str(tmp_path), "sample"],
-        capture_output=True, text=True, timeout=120,
+        command + ["--config", path, "--seed", "2", "--out", str(tmp_path), "sample"],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "wrote 5 samples" in proc.stdout

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import GAP_NEAR, drift_stats, make_rbm_family
 from scoredetect import (DetectorConfig, DetectorState, Gaussian, Gbrbm,
                          ModelError, RngStream, RunResult, ScoreMixture,
-                         batch_scores, cusum_log_lr_step, instantaneous_score,
-                         run_stream, step)
+                         batch_scores, cusum_log_lr_step, run_stream, step)
 
 
 class StubModel:
@@ -42,17 +41,19 @@ def test_config_validation(inf_a, post_a):
 
 def test_increment_closed_forms(inf_a, post_a):
     cfg = DetectorConfig(inf_a, post_a, omega=1.0)
-    assert instantaneous_score(cfg, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert instantaneous_score(cfg, [0.25, 0.25]) == pytest.approx(GAP_NEAR, abs=1e-12)
-    assert instantaneous_score(cfg, [1.0, 1.0]) == pytest.approx(1.0 / 4.84, abs=1e-12)
+    assert batch_scores(cfg, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert batch_scores(cfg, [0.25, 0.25]) == pytest.approx(GAP_NEAR, abs=1e-12)
+    assert batch_scores(cfg, [1.0, 1.0]) == pytest.approx(1.0 / 4.84, abs=1e-12)
 
 
 def test_batch_scores_match_the_loop(inf_a, post_a):
     cfg = DetectorConfig(inf_a, post_a, omega=1.0, rho=1.7)
     xs = RngStream(601).generator().standard_normal((32, 2))
     batch = batch_scores(cfg, xs)
-    loop = np.array([instantaneous_score(cfg, x) for x in xs])
+    loop = np.array([cfg.rho * (inf_a.hyvarinen(x) - post_a.hyvarinen(x)) for x in xs])
     assert np.allclose(batch, loop, atol=1e-12)
+    single = np.array([batch_scores(cfg, x) for x in xs])
+    assert np.allclose(batch, single, atol=1e-12)
 
 
 def test_constant_increment_walk_stops_on_schedule():
@@ -96,15 +97,24 @@ def test_statistic_reflects_at_zero_and_stop_sticks():
     assert state.stopped_at == 1
 
 
+# Power-of-two scaling is exact only for normal floats: 0.25 * 5e-324
+# underflows to 0.  Every draw below is 0 or at least 2**-960 in magnitude,
+# so each value, partial sum (a multiple of 2**-1012) and scaled value by
+# rho >= 1/4 stays normal.
+_NORMAL_FLOOR = 2.0 ** -960
+
+
+def _zero_or_normal(bound, signed=True):
+    magnitude = st.floats(min_value=_NORMAL_FLOOR, max_value=bound)
+    signs = (magnitude, magnitude.map(lambda v: -v)) if signed else (magnitude,)
+    return st.one_of(st.just(0.0), *signs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rho=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]),
-    increments=st.lists(
-        st.floats(min_value=-4.0, max_value=4.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=30,
-    ),
-    omega=st.floats(min_value=0.0, max_value=8.0),
+    increments=st.lists(_zero_or_normal(4.0), min_size=1, max_size=30),
+    omega=_zero_or_normal(8.0, signed=False),
 )
 def test_multiplier_rescales_threshold_exactly(rho, increments, omega):
     # scaling the increments by a power of two and the threshold with them
@@ -198,3 +208,18 @@ def test_batch_scores_deterministic_for_stochastic_mixtures():
     a = batch_scores(cfg, xs, rng=RngStream(607).generator())
     b = batch_scores(cfg, xs, rng=RngStream(607).generator())
     assert np.array_equal(a, b)
+
+
+def test_step_and_batch_share_hutchinson_probes():
+    # detect, bench and calibrate all score through batch_scores, so one
+    # streaming step on a stochastic mixture draws the same probes as a
+    # one-row batch from an equally seeded generator
+    basis_inf, basis_post = make_rbm_family(RngStream(608))
+    cfg = DetectorConfig(ScoreMixture(basis_inf, [0.5, 0.5], n_probes=10),
+                         ScoreMixture(basis_post, [0.5, 0.5], n_probes=10),
+                         omega=1e9, rho=1.3)
+    x = RngStream(609).generator().standard_normal(10)
+    state = step(cfg, DetectorState(), x, rng=RngStream(610).generator())
+    want = batch_scores(cfg, x[None], rng=RngStream(610).generator())[0]
+    assert want > 0.0  # so the reflection at zero does not hide the increment
+    assert state.statistic == want

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_rbm_family
 from scoredetect import (Gaussian, Gbrbm, LangevinConfig, RngStream,
-                         fisher_mc, gibbs_gbrbm, langevin_chain, sample)
+                         fisher_mc, gibbs_gbrbm, langevin_chain)
 
 
 def test_langevin_config_validation():
@@ -11,8 +11,6 @@ def test_langevin_config_validation():
         LangevinConfig(step=0.0)
     with pytest.raises(ValueError):
         LangevinConfig(steps=-1)
-    with pytest.raises(ValueError):
-        LangevinConfig(particles=0)
     assert LangevinConfig(steps=0).steps == 0
 
 
@@ -104,10 +102,3 @@ def test_gibbs_validation():
         gibbs_gbrbm(model, 10, burn_in=-1, rng=RngStream(0))
     with pytest.raises(ValueError):
         gibbs_gbrbm(model, 10, thin=0, rng=RngStream(0))
-
-
-def test_sample_wrapper(inf_a):
-    draws = sample(inf_a, 16, RngStream(513))
-    assert draws.shape == (16, 2)
-    with pytest.raises(ValueError):
-        sample(inf_a, 0, RngStream(513))

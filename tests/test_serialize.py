@@ -7,7 +7,7 @@ import pytest
 from conftest import make_rbm_family
 from scoredetect import (BetaNetwork, Gaussian, GaussianMixture, LfdPair,
                          ModelError, RngStream, ScoreMixture, dump_lfd_pair,
-                         dump_model, load_lfd_pair, load_model, write_json)
+                         load_lfd_pair, load_model, write_json)
 from scoredetect.calibration import RhoSolution
 from scoredetect.serialize import dump_rho_solution
 
@@ -16,7 +16,7 @@ POINTS = np.array([[0.1, -0.4], [1.5, 2.0], [-3.0, 0.7]])
 
 def roundtrip(model):
     # through actual JSON text, not just the dict
-    return load_model(json.loads(json.dumps(dump_model(model))))
+    return load_model(json.loads(json.dumps(model.to_dict())))
 
 
 def test_gaussian_roundtrip(inf_a):
@@ -57,7 +57,7 @@ def test_constant_mixture_roundtrip(inf_a, post_a):
 def test_network_mixture_roundtrip(inf_a, post_a):
     net = BetaNetwork.initialize(2, 2, RngStream(1003).generator())
     mix = ScoreMixture([inf_a, post_a], net, n_probes=4)
-    d = dump_model(mix)
+    d = mix.to_dict()
     assert isinstance(d["beta"], dict)
     back = load_model(json.loads(json.dumps(d)))
     assert callable(back.beta)
@@ -69,7 +69,7 @@ def test_opaque_beta_is_not_serializable(inf_a, post_a):
     mix = ScoreMixture([inf_a, post_a],
                        lambda x: np.full(x.shape[:-1] + (2,), 0.5))
     with pytest.raises(NotImplementedError):
-        dump_model(mix)
+        mix.to_dict()
 
 
 def test_load_model_rejects_bad_input():
