@@ -23,6 +23,7 @@ __all__ = [
     "SweepRow",
     "estimate_drift",
     "run_lengths",
+    "threshold_grid",
     "arl_edd_sweep",
     "write_sweep_csv",
     "SWEEP_COLUMNS",
@@ -71,9 +72,8 @@ def estimate_drift(model, detector: DetectorConfig, n: int, rng):
     """Mean and standard error of the detector increment under ``model``."""
     if n < 2:
         raise ValueError("need at least 2 samples")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    draws = model.sample(n, gen)
-    z = np.asarray(batch_scores(detector, draws, rng=gen))
+    draws = model.sample(n, rng)
+    z = np.asarray(batch_scores(detector, draws))
     return float(z.mean()), float(z.std(ddof=1) / math.sqrt(n))
 
 
@@ -100,7 +100,7 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
         c_shard = censored[start:start + count]
         for n in range(1, cap + 1):
             draws = model.sample(alive.size, gen)
-            z = np.asarray(batch_scores(detector, draws, rng=gen))
+            z = np.asarray(batch_scores(detector, draws))
             stat[alive] = np.maximum(stat[alive] + z, 0.0)
             sub_done = done[alive]
             newly = (~sub_done) & (stat[alive, None] >= omegas)
@@ -126,6 +126,20 @@ def _summarize(times_col, censored_col, paths) -> TrialSummary:
     return TrialSummary(mean, stderr, n_cens, paths, n_cens > 0)
 
 
+def threshold_grid(omegas) -> np.ndarray:
+    """``omegas`` checked as a non-empty, strictly increasing grid of finite ``omega >= 0``."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise ValueError("omegas must be a non-empty 1-d grid")
+    if not np.isfinite(omegas).all():
+        raise ValueError("omegas must be finite")
+    if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
+        raise ValueError("omegas must be strictly increasing")
+    if (omegas < 0).any():
+        raise ValueError("omegas must be non-negative")
+    return omegas
+
+
 def run_lengths(law, detector: DetectorConfig, omegas, paths: int, cap: int,
                 rng: RngStream) -> list[TrialSummary]:
     """Mean stopping time at each threshold of a grid, with observations
@@ -138,13 +152,7 @@ def run_lengths(law, detector: DetectorConfig, omegas, paths: int, cap: int,
     running at ``cap`` enter the mean at the cap and are counted as
     censored.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 1 or omegas.size == 0:
-        raise ValueError("omegas must be a non-empty 1-d grid")
-    if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
-        raise ValueError("omegas must be strictly increasing")
-    if (omegas < 0).any():
-        raise ValueError("omegas must be non-negative")
+    omegas = threshold_grid(omegas)
     if paths < 1 or cap < 1:
         raise ValueError("paths and cap must be at least 1")
     if not isinstance(rng, RngStream):

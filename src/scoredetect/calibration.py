@@ -25,7 +25,6 @@ import numpy as np
 
 from .detectors import DetectorConfig, batch_scores
 from .models import Gaussian
-from .rngs import as_generator
 
 __all__ = [
     "RhoSolution",
@@ -73,10 +72,9 @@ class RhoSolution:
 
 
 def _draw_increments(p_inf, pair, n: int, rng) -> np.ndarray:
-    gen = as_generator(rng)
-    draws = p_inf.sample(n, gen)
+    draws = p_inf.sample(n, rng)
     cfg = DetectorConfig(pair.q_inf, pair.q_post, omega=0.0, rho=1.0)
-    return np.asarray(batch_scores(cfg, draws, rng=gen))
+    return np.asarray(batch_scores(cfg, draws))
 
 
 def _h_from_increments(z: np.ndarray, rho: float):

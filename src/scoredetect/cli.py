@@ -18,14 +18,14 @@ import sys
 
 import numpy as np
 
-from .bench import arl_edd_sweep, estimate_drift, write_sweep_csv
+from .bench import arl_edd_sweep, estimate_drift, threshold_grid, write_sweep_csv
 from .calibration import (CalibrationError, DriftSignError, solve_rho_star,
                           threshold_for_arl)
 from .detectors import DetectorConfig, DetectorState, step
 from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
-from .models import ModelError, ScoreMixture
+from .models import ModelError
 from .rngs import RngStream
 from .samplers import LangevinConfig
 from .serialize import (dump_lfd_pair, dump_rho_solution, load_lfd_pair,
@@ -74,14 +74,10 @@ def _named_model(table, name, context):
     return table[name]
 
 
-def _seed_stream(cfg, args, needed=True):
+def _seed_stream(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
-        if needed:
-            raise ConfigError(
-                "an explicit seed is required (--seed or a 'seed' config entry)"
-            )
-        return None
+        raise ConfigError("an explicit seed is required (--seed or a 'seed' config entry)")
     return RngStream(int(seed))
 
 
@@ -213,21 +209,36 @@ def cmd_calibrate(cfg, args):
     return EXIT_OK
 
 
+def _bench_trial(table, trial, i):
+    """A bench trial's models, sizes and thresholds, checked before any trial runs."""
+    name = _require(trial, "name", "bench.trials")
+    detector = _detector_from(table, _require(trial, "detector", name), name)
+    laws = [_named_model(table, _require(trial, key, name), name) for key in ("p_inf", "p_post")]
+    sizes = {key: int(trial.get(key, default)) for key, default in
+             (("drift_n", 50000), ("arl_paths", 2000), ("edd_paths", 5000), ("cap", 100000))}
+    for key, value in sizes.items():
+        low = 2 if key == "drift_n" else 1
+        if value < low:
+            raise ConfigError(f"bench.trials[{i}].{key} must be at least {low}, got {value}")
+    try:  # a trial without thresholds reports its drifts only
+        omegas = threshold_grid(trial["omegas"]) if trial.get("omegas") else None
+    except ValueError as exc:
+        raise ConfigError(f"bench.trials[{i}].omegas: {exc}") from None
+    return name, detector, *laws, sizes, omegas
+
+
 def cmd_bench(cfg, args):
     section = _require(cfg, "bench", "top level")
     table = _models_table(cfg)
+    trials = [_bench_trial(table, trial, i)
+              for i, trial in enumerate(_require(section, "trials", "bench"))]
     out = _out_dir(cfg, args)
     stream = _seed_stream(cfg, args)
     drift_lines = ["trial,pre_drift,pre_stderr,post_drift,post_stderr"]
-    for i, trial in enumerate(_require(section, "trials", "bench")):
-        name = _require(trial, "name", "bench.trials")
-        detector = _detector_from(table, _require(trial, "detector", name), name)
-        p_inf = _named_model(table, _require(trial, "p_inf", name), name)
-        p_post = _named_model(table, _require(trial, "p_post", name), name)
+    for i, (name, detector, p_inf, p_post, sizes, omegas) in enumerate(trials):
         tstream = stream.substream(2, i)
-        drift_n = int(trial.get("drift_n", 50000))
-        pre = estimate_drift(p_inf, detector, drift_n, tstream.substream(0).generator())
-        post = estimate_drift(p_post, detector, drift_n, tstream.substream(1).generator())
+        pre = estimate_drift(p_inf, detector, sizes["drift_n"], tstream.substream(0))
+        post = estimate_drift(p_post, detector, sizes["drift_n"], tstream.substream(1))
         drift_lines.append(
             f"{name},{pre[0]:.10g},{pre[1]:.10g},{post[0]:.10g},{post[1]:.10g}"
         )
@@ -235,14 +246,11 @@ def cmd_bench(cfg, args):
             f"{name}: pre_drift={pre[0]:.6g} (stderr {pre[1]:.2g})"
             f" post_drift={post[0]:.6g} (stderr {post[1]:.2g})"
         )
-        omegas = trial.get("omegas")
-        if omegas:
+        if omegas is not None:
             rows = arl_edd_sweep(
-                p_inf, p_post, detector, np.asarray(omegas, float),
-                arl_paths=int(trial.get("arl_paths", 2000)),
-                edd_paths=int(trial.get("edd_paths", 5000)),
-                cap=int(trial.get("cap", 100000)),
-                rng=tstream.substream(2),
+                p_inf, p_post, detector, omegas,
+                arl_paths=sizes["arl_paths"], edd_paths=sizes["edd_paths"],
+                cap=sizes["cap"], rng=tstream.substream(2),
             )
             path = os.path.join(out, f"{name}_sweep.csv")
             write_sweep_csv(rows, path)
@@ -270,12 +278,6 @@ def cmd_detect(cfg, args):
     detector = _detector_from(table, _require(section, "detector", "detect"),
                               "detect", omega=section["detector"].get("omega"))
     cap = int(section.get("cap", 10**9))
-    stochastic = any(
-        isinstance(m, ScoreMixture) and not m.has_exact_laplacian
-        for m in (detector.model_inf, detector.model_post)
-    )
-    stream = _seed_stream(cfg, args, needed=stochastic)
-    gen = stream.substream(4).generator() if stream is not None else None
     state = DetectorState()
     handle = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
     try:
@@ -285,7 +287,7 @@ def cmd_detect(cfg, args):
                     f"line {lineno}: expected dimension {detector.model_inf.dim},"
                     f" got {vec.size}"
                 )
-            step(detector, state, vec, rng=gen)
+            step(detector, state, vec)
             if state.stopped_at is not None or state.n >= cap:
                 break
     finally:

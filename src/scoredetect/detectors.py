@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelError, Gaussian, ScoreMixture, hutchinson_laplacian
-from .rngs import as_generator
+# hutchinson_laplacian is unused here; perfbench/tracing.py wraps it in this
+# module and in models, and reports its span only while both names exist
+from .models import ModelError, Gaussian, hutchinson_laplacian  # noqa: F401
 
 __all__ = [
     "DetectorConfig",
@@ -76,43 +77,19 @@ class RunResult:
         return self.stopping_time is None
 
 
-def _stochastic_mixture(model) -> bool:
-    return isinstance(model, ScoreMixture) and not model.has_exact_laplacian
-
-
-def batch_scores(cfg: DetectorConfig, x, rng=None):
+def batch_scores(cfg: DetectorConfig, x):
     """Increments ``rho * (S(x, inf) - S(x, post))`` for one observation
     ``(d,)`` (a float) or a batch ``(..., d)``.
 
     ``step``, the benchmark sweeps and the calibration all call it, so a
-    detector has the same increments everywhere.  When both models are
-    score mixtures with stochastic Laplacians the same Hutchinson probes
-    are reused for the two fields, which keeps the estimate unbiased while
-    cancelling most of the probe noise in their difference.
+    detector has the same increments everywhere.
     """
-    if rng is not None and _stochastic_mixture(cfg.model_inf) \
-            and _stochastic_mixture(cfg.model_post) \
-            and cfg.model_inf.n_probes == cfg.model_post.n_probes:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        gen = as_generator(rng)
-        n_probes = cfg.model_inf.n_probes
-        probes = gen.standard_normal((n_probes,) + pts.shape)
-        vals = []
-        for model in (cfg.model_inf, cfg.model_post):
-            s = np.asarray(model.score(pts))
-            lap = hutchinson_laplacian(model, pts, n_probes, probes=probes)
-            vals.append(0.5 * np.sum(s * s, axis=-1) + lap)
-        out = cfg.rho * (vals[0] - vals[1])
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
-    return cfg.rho * (
-        cfg.model_inf.hyvarinen(x, rng=rng) - cfg.model_post.hyvarinen(x, rng=rng)
-    )
+    return cfg.rho * (cfg.model_inf.hyvarinen(x) - cfg.model_post.hyvarinen(x))
 
 
-def step(cfg: DetectorConfig, state: DetectorState, x, rng=None) -> DetectorState:
+def step(cfg: DetectorConfig, state: DetectorState, x) -> DetectorState:
     """Advance the reflected recursion by one observation (state is mutated)."""
-    inc = batch_scores(cfg, x, rng=rng)
-    return _advance(state, float(inc), cfg.omega)
+    return _advance(state, float(batch_scores(cfg, x)), cfg.omega)
 
 
 def _advance(state: DetectorState, increment: float, omega: float) -> DetectorState:
@@ -123,7 +100,7 @@ def _advance(state: DetectorState, increment: float, omega: float) -> DetectorSt
     return state
 
 
-def run_stream(cfg: DetectorConfig, xs, cap: int, rng=None) -> RunResult:
+def run_stream(cfg: DetectorConfig, xs, cap: int) -> RunResult:
     """Run the detector over a stream until alarm or ``cap`` observations.
 
     Returns the first crossing as ``stopping_time``; a stream that ends (or
@@ -134,7 +111,7 @@ def run_stream(cfg: DetectorConfig, xs, cap: int, rng=None) -> RunResult:
         raise ValueError("cap must be at least 1")
     state = DetectorState()
     for x in xs:
-        step(cfg, state, x, rng=rng)
+        step(cfg, state, x)
         if state.stopped_at is not None:
             return RunResult(state.stopped_at, state.n, state.statistic)
         if state.n >= cap:

@@ -371,7 +371,6 @@ class BetaNetwork:
         logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
         beta = expl / expl.sum(axis=-1, keepdims=True)
-        assert np.all(beta >= 0) and np.abs(beta.sum(axis=-1) - 1.0).max() < 1e-9
         return beta, hid, pre
 
     def __call__(self, x) -> np.ndarray:
@@ -379,6 +378,17 @@ class BetaNetwork:
         flat = x.reshape(-1, x.shape[-1])
         beta, _, _ = self._forward_full(flat)
         return beta.reshape(x.shape[:-1] + (self.outputs,))
+
+    def weights_and_jacobian(self, x):
+        """``beta(x)`` ``(..., m)`` and ``d beta / dx`` ``(..., m, d)`` from one
+        forward pass: the softmax Jacobian ``diag(beta) - beta beta'`` times
+        the logits' Jacobian ``W2 diag(relu'(pre)) W1``."""
+        x = np.asarray(x, dtype=float)
+        beta, _, pre = self._forward_full(x.reshape(-1, x.shape[-1]))
+        dlogits = self.w2 @ ((pre > 0)[:, :, None] * self.w1)
+        jac = beta[:, :, None] * (dlogits - np.einsum("nm,nmd->nd", beta, dlogits)[:, None])
+        lead = x.shape[:-1] + (self.outputs,)
+        return beta.reshape(lead), jac.reshape(lead + (self.dim,))
 
     def get_params(self) -> np.ndarray:
         return np.concatenate(

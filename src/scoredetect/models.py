@@ -76,13 +76,13 @@ class ScoreModel(abc.ABC):
         """Gradient of the log density at ``x``; same shape as ``x``."""
 
     @abc.abstractmethod
-    def laplacian(self, x, rng=None):
+    def laplacian(self, x):
         """Laplacian of the log density at ``x``; shape ``x.shape[:-1]``."""
 
-    def hyvarinen(self, x, rng=None):
+    def hyvarinen(self, x):
         """``0.5 * ||score||^2 + laplacian`` at ``x``."""
         s = np.asarray(self.score(x))
-        return 0.5 * np.sum(s * s, axis=-1) + self.laplacian(x, rng=rng)
+        return 0.5 * np.sum(s * s, axis=-1) + self.laplacian(x)
 
     def log_density(self, x):
         """Log density up to an additive constant (where available)."""
@@ -138,7 +138,7 @@ class Gaussian(ScoreModel):
         x = self._points(x)
         return -(x - self.mean) @ self.cov_inv
 
-    def laplacian(self, x, rng=None):
+    def laplacian(self, x):
         x = self._points(x)
         out = np.full(x.shape[:-1], -self.trace_inv)
         return float(out) if out.ndim == 0 else out
@@ -192,9 +192,7 @@ class GaussianMixture(ScoreModel):
 
     def responsibilities(self, x):
         lj = self._log_joint(self._points(x))
-        u = np.exp(lj - _logsumexp(lj)[..., None])
-        assert np.all(u >= 0) and np.allclose(u.sum(axis=-1), 1.0, atol=1e-9)
-        return u
+        return np.exp(lj - _logsumexp(lj)[..., None])
 
     def score(self, x):
         x = self._points(x)
@@ -202,7 +200,7 @@ class GaussianMixture(ScoreModel):
         s = np.stack([c.score(x) for c in self.components], axis=-2)
         return np.sum(u[..., None] * s, axis=-2)
 
-    def laplacian(self, x, rng=None):
+    def laplacian(self, x):
         x = self._points(x)
         u = self.responsibilities(x)
         s = np.stack([c.score(x) for c in self.components], axis=-2)
@@ -269,7 +267,7 @@ class Gbrbm(ScoreModel):
         act = _sigmoid(x @ self.weights + self.hidden_bias)
         return self.visible_bias - x + act @ self.weights.T
 
-    def laplacian(self, x, rng=None):
+    def laplacian(self, x):
         x = self._points(x)
         act = _sigmoid(x @ self.weights + self.hidden_bias)
         out = np.sum(act * (1.0 - act) * self._col_sq_norms, axis=-1) - self.dim
@@ -304,12 +302,12 @@ class ScoreMixture(ScoreModel):
 
     ``beta`` is either a fixed vector on the simplex or a callable mapping a
     batch ``(..., d)`` to weights ``(..., m)`` (e.g. a trained softmax
-    network).  When the weights are constant and every basis member is
-    Gaussian the Laplacian of the combined field is exact; otherwise it is
-    estimated with Hutchinson probes, which requires an explicit ``rng``.
+    network) whose ``weights_and_jacobian(x)`` also returns ``d beta / dx``,
+    ``(..., m, d)``.  The Laplacian is exact whenever the members' are:
+    ``div(sum_k beta_k s_k) = sum_k (beta_k lap_k + grad beta_k . s_k)``.
     """
 
-    def __init__(self, basis, beta, n_probes=10, langevin=None, init_basis=0):
+    def __init__(self, basis, beta, langevin=None, init_basis=0):
         basis = tuple(basis)
         if len(basis) < 1:
             raise ModelError("score mixture needs at least one basis member")
@@ -319,6 +317,8 @@ class ScoreMixture(ScoreModel):
         self.basis = basis
         self.dim = basis[0].dim
         if callable(beta):
+            if not callable(getattr(beta, "weights_and_jacobian", None)):
+                raise ModelError("beta callable must provide weights_and_jacobian(x)")
             self.beta = beta
             self._const_beta = None
         else:
@@ -329,50 +329,53 @@ class ScoreMixture(ScoreModel):
                 raise ModelError("constant beta must lie on the simplex")
             self.beta = None
             self._const_beta = np.clip(beta, 0.0, None)
-        if n_probes < 1:
-            raise ModelError("n_probes must be at least 1")
-        self.n_probes = int(n_probes)
         self.langevin = langevin if langevin is not None else LangevinConfig()
         self.init_basis = int(init_basis)
         if not 0 <= self.init_basis < len(basis):
             raise ModelError("init_basis out of range")
 
-    def beta_weights(self, x):
-        x = self._points(x)
-        if self._const_beta is not None:
-            return np.broadcast_to(self._const_beta, x.shape[:-1] + (len(self.basis),))
-        w = np.asarray(self.beta(x), dtype=float)
+    def _checked_weights(self, x, w):
+        w = np.asarray(w, dtype=float)
         if w.shape != x.shape[:-1] + (len(self.basis),):
             raise ModelError("beta callable returned weights of the wrong shape")
         if w.min() < -1e-9 or np.abs(w.sum(axis=-1) - 1.0).max() > 1e-9:
             raise ModelError("beta callable left the simplex")
         return w
 
+    def beta_weights(self, x):
+        x = self._points(x)
+        if self._const_beta is not None:
+            return np.broadcast_to(self._const_beta, x.shape[:-1] + (len(self.basis),))
+        return self._checked_weights(x, self.beta(x))
+
     def score(self, x):
         x = self._points(x)
-        w = self.beta_weights(x)
         s = np.stack([b.score(x) for b in self.basis], axis=-2)
-        return np.sum(w[..., None] * s, axis=-2)
+        return np.sum(self.beta_weights(x)[..., None] * s, axis=-2)
 
-    @property
-    def has_exact_laplacian(self) -> bool:
-        return self._const_beta is not None and all(
-            isinstance(b, Gaussian) for b in self.basis
-        )
-
-    def laplacian(self, x, rng=None):
+    def _score_and_laplacian(self, x):
+        """Mixture score and exact Laplacian, with each member evaluated once."""
         x = self._points(x)
-        if self.has_exact_laplacian:
-            traces = np.array([b.trace_inv for b in self.basis])
-            val = -float(self._const_beta @ traces)
-            out = np.full(x.shape[:-1], val)
-            return float(out) if out.ndim == 0 else out
-        if rng is None:
-            raise ModelError(
-                "the Laplacian of a non-Gaussian score mixture is stochastic;"
-                " pass rng= for Hutchinson probes"
-            )
-        return hutchinson_laplacian(self, x, self.n_probes, rng)
+        s = np.stack([b.score(x) for b in self.basis], axis=-2)
+        lap = np.stack([b.laplacian(x) for b in self.basis], axis=-1)
+        if self._const_beta is not None:
+            w, grad_term = self._const_beta, 0.0
+        else:
+            w, jac = self.beta.weights_and_jacobian(x)
+            w, jac = self._checked_weights(x, w), np.asarray(jac, dtype=float)
+            if jac.shape != s.shape:
+                raise ModelError("beta callable returned a Jacobian of the wrong shape")
+            grad_term = np.sum(jac * s, axis=(-2, -1))
+        return np.sum(w[..., None] * s, axis=-2), np.sum(w * lap, axis=-1) + grad_term
+
+    def laplacian(self, x):
+        div = self._score_and_laplacian(x)[1]
+        return float(div) if div.ndim == 0 else div
+
+    def hyvarinen(self, x):
+        s, div = self._score_and_laplacian(x)
+        out = 0.5 * np.sum(s * s, axis=-1) + div
+        return float(out) if out.ndim == 0 else out
 
     def sample(self, n, rng, refresh=None):
         """Draw via the first basis member's sampler, then Langevin-refresh
@@ -392,20 +395,17 @@ class ScoreMixture(ScoreModel):
             "type": "score_mixture",
             "basis": [b.to_dict() for b in self.basis],
             "beta": beta,
-            "n_probes": self.n_probes,
         }
 
 
-def hutchinson_laplacian(model, x, n_probes, rng=None, probes=None,
-                         return_stderr=False):
+def hutchinson_laplacian(model, x, n_probes, rng=None, return_stderr=False):
     """Randomized divergence of a score field (trace of its Jacobian).
 
     For each standard-normal probe ``eps`` the quadratic form
     ``eps' J(x) eps`` is evaluated by a central finite difference of the
     directional function ``t -> eps . score(x + t eps)`` with step
-    ``1e-4 * max(1, ||x||)``; the estimate averages over probes.  ``probes``
-    may supply a precomputed ``(n_probes, ..., d)`` array so that several
-    fields can share the same probes.
+    ``1e-4 * max(1, ||x||)``; the estimate averages over probes.  Every
+    model's own ``laplacian`` is exact; this is their oracle in the tests.
     """
     if n_probes < 1:
         raise ModelError("n_probes must be at least 1")
@@ -413,10 +413,10 @@ def hutchinson_laplacian(model, x, n_probes, rng=None, probes=None,
     scalar = x.ndim == 1
     pts = np.atleast_2d(x)
     step = FD_STEP_SCALE * np.maximum(1.0, np.linalg.norm(pts, axis=-1, keepdims=True))
-    gen = as_generator(rng) if probes is None else None
+    gen = as_generator(rng)
     vals = np.empty((n_probes,) + pts.shape[:-1])
     for k in range(n_probes):
-        eps = gen.standard_normal(pts.shape) if probes is None else probes[k]
+        eps = gen.standard_normal(pts.shape)
         up = np.sum(eps * np.asarray(model.score(pts + step * eps)), axis=-1)
         down = np.sum(eps * np.asarray(model.score(pts - step * eps)), axis=-1)
         vals[k] = (up - down) / (2.0 * step[..., 0])

@@ -44,9 +44,13 @@ def load_model(d: dict):
             beta = d["beta"]
             if isinstance(beta, dict):
                 beta = BetaNetwork.from_dict(beta)
+                if {b.dim for b in basis} != {beta.dim}:
+                    raise ModelError(f"beta.dim {beta.dim} does not match the basis dimension")
+                if beta.outputs != len(basis):
+                    raise ModelError(f"beta.outputs {beta.outputs} != {len(basis)} basis members")
             else:
                 beta = np.asarray(beta, float)
-            return ScoreMixture(basis, beta, n_probes=d.get("n_probes", 10))
+            return ScoreMixture(basis, beta)
     except KeyError as exc:
         raise ModelError(f"model description missing field {exc}") from None
     raise ModelError(f"unknown model type {kind!r}")

@@ -108,6 +108,20 @@ def fd_laplacian(logp, x, h=1e-4):
     return total
 
 
+def fd_divergence(model, x, h=1e-5):
+    """Trace of the central-difference Jacobian of ``model.score`` at a
+    batch of points ``(n, d)``; needs no log density, so it also checks
+    score fields that are not gradients."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[0])
+    for i in range(x.shape[1]):
+        step = np.zeros(x.shape[1])
+        step[i] = h
+        out += (np.asarray(model.score(x + step))[:, i]
+                - np.asarray(model.score(x - step))[:, i]) / (2.0 * h)
+    return out
+
+
 def assert_scores_match(model, logp, points, rel=1e-5):
     for x in points:
         want = fd_score(logp, x)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A, MEAN_POST_B, V_REF
 import scoredetect
-from scoredetect import load_lfd_pair, ScoreMixture
+from scoredetect import BetaNetwork, load_lfd_pair, ScoreMixture
 from scoredetect.cli import main
 
 COV = [list(row) for row in V_REF]
@@ -248,6 +248,29 @@ def test_bench_rejects_empty_sweeps(tmp_path, capsys, field):
     assert not (tmp_path / "tiny_sweep.csv").exists()
 
 
+def test_bench_checks_every_trial_before_running_any(tmp_path, capsys):
+    cfg = bench_config()
+    second = dict(cfg["bench"]["trials"][0], name="second", edd_paths=0)
+    cfg["bench"]["trials"].append(second)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seed", "5", "--out", str(out), "bench"]) == 2
+    captured = capsys.readouterr()
+    assert "bench.trials[1].edd_paths" in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [("drift_n", 1), ("omegas", [1.0, 0.5]),
+                                          ("omegas", [-1.0])])
+def test_bench_names_the_bad_trial_field(tmp_path, capsys, field, value):
+    cfg = bench_config()
+    cfg["bench"]["trials"][0][field] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--seed", "5", "--out", str(tmp_path), "bench"]) == 2
+    assert f"bench.trials[0].{field}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # detect
 
@@ -302,6 +325,45 @@ def test_detect_rejects_wrong_dimension(tmp_path, capsys):
     stream.write_text("0.1 0.2\n0.5\n")
     assert main(["--config", path, "detect", "--input", str(stream)]) == 2
     assert "expected dimension 2" in capsys.readouterr().err
+
+
+def learned_models(dim=2, outputs=2):
+    net = BetaNetwork.initialize(dim, outputs, np.random.default_rng(31))
+    return {
+        "q_inf": {"type": "score_mixture", "basis": [MODELS["inf_a"], MODELS["inf_b"]],
+                  "beta": net.to_dict()},
+        "q_post": {"type": "score_mixture", "basis": [MODELS["post_a"], MODELS["post_b"]],
+                   "beta": BetaNetwork.initialize(2, 2, np.random.default_rng(32)).to_dict()},
+    }
+
+
+def test_detect_on_a_learned_pair_needs_no_seed(tmp_path, capsys):
+    # every mixture Laplacian is exact, so the statistic is a function of
+    # the stream alone
+    cfg = base_config(detect={"detector": {"model_inf": "q_inf", "model_post": "q_post",
+                                           "omega": 100.0, "rho": 1.0}})
+    cfg["models"].update(learned_models())
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("0.5,0.5\n1.0,0.2\n2.42,2.42\n")
+    outs = []
+    for _ in range(2):
+        assert main(["--config", path, "detect", "--input", str(stream)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("stopped_at=none steps=3 statistic=")
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("dim, outputs, field", [(3, 2, "beta.dim"), (2, 3, "beta.outputs")])
+def test_beta_network_must_fit_its_basis(tmp_path, capsys, dim, outputs, field):
+    cfg = base_config(detect={"detector": {"model_inf": "q_inf", "model_post": "q_post",
+                                           "omega": 1.0}})
+    cfg["models"].update(learned_models(dim, outputs))
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("0.5,0.5\n")
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 2
+    assert field in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GAP_NEAR, drift_stats, make_rbm_family
-from scoredetect import (DetectorConfig, DetectorState, Gaussian, Gbrbm,
-                         ModelError, RngStream, RunResult, ScoreMixture,
+from conftest import GAP_NEAR, drift_stats, fd_divergence, make_rbm_family
+from scoredetect import (BetaNetwork, DetectorConfig, DetectorState, Gaussian,
+                         Gbrbm, ModelError, RngStream, RunResult, ScoreMixture,
                          batch_scores, cusum_log_lr_step, run_stream, step)
 
 
@@ -17,7 +17,7 @@ class StubModel:
         self.fn = fn
         self.dim = dim
 
-    def hyvarinen(self, x, rng=None):
+    def hyvarinen(self, x):
         return self.fn(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
@@ -181,45 +181,55 @@ def test_log_lr_requires_gaussians(inf_a):
         cusum_log_lr_step(inf_a, rbm, DetectorState(), [0.0, 0.0])
 
 
-def test_shared_probes_cancel_on_matching_jacobians():
-    # two zero-weight RBMs have linear scores with identical Jacobians, so
-    # the paired Hutchinson estimates cancel exactly in the difference and
-    # the batch increment equals the closed form
+def test_rbm_mixture_increments_match_the_closed_form():
+    # two zero-weight RBMs have linear scores and constant Laplacians, so
+    # the mixture increment has a closed form
     b_inf = np.zeros(6)
     b_post = np.full(6, 0.8)
-    mix_inf = ScoreMixture([Gbrbm(np.zeros((6, 3)), b_inf, np.zeros(3))], [1.0],
-                           n_probes=10)
-    mix_post = ScoreMixture([Gbrbm(np.zeros((6, 3)), b_post, np.zeros(3))], [1.0],
-                            n_probes=10)
+    mix_inf = ScoreMixture([Gbrbm(np.zeros((6, 3)), b_inf, np.zeros(3))], [1.0])
+    mix_post = ScoreMixture([Gbrbm(np.zeros((6, 3)), b_post, np.zeros(3))], [1.0])
     cfg = DetectorConfig(mix_inf, mix_post, omega=1.0)
     xs = RngStream(603).generator().standard_normal((50, 6))
-    got = batch_scores(cfg, xs, rng=RngStream(604).generator())
+    got = batch_scores(cfg, xs)
     want = 0.5 * (np.sum((xs - b_inf) ** 2, axis=-1)
                   - np.sum((xs - b_post) ** 2, axis=-1))
+    assert np.abs(got - want).max() < 1e-12
+
+
+def _network_pair(seed, rho=1.0, omega=1.0):
+    # learned-pair form: softmax weight networks over RBM bases
+    basis_inf, basis_post = make_rbm_family(RngStream(seed))
+    gen = RngStream(seed + 1).generator()
+    nets = [BetaNetwork.initialize(10, 2, gen) for _ in range(2)]
+    for net in nets:
+        net.w2 = 30.0 * net.w2  # sharper weights make the grad-beta term count
+    return DetectorConfig(ScoreMixture(basis_inf, nets[0]),
+                          ScoreMixture(basis_post, nets[1]), omega=omega, rho=rho)
+
+
+def test_network_mixture_increments_use_the_exact_divergence():
+    cfg = _network_pair(605, rho=1.7)
+    xs = RngStream(606).generator().standard_normal((40, 10))
+
+    def oracle(model):
+        s = model.score(xs)
+        return 0.5 * np.sum(s * s, axis=-1) + fd_divergence(model, xs)
+
+    want = 1.7 * (oracle(cfg.model_inf) - oracle(cfg.model_post))
+    got = batch_scores(cfg, xs)
     assert np.abs(got - want).max() < 1e-6
+    assert np.array_equal(got, batch_scores(cfg, xs))  # deterministic, no rng
 
 
-def test_batch_scores_deterministic_for_stochastic_mixtures():
-    basis_inf, basis_post = make_rbm_family(RngStream(605))
-    cfg = DetectorConfig(ScoreMixture(basis_inf, [0.5, 0.5], n_probes=10),
-                         ScoreMixture(basis_post, [0.5, 0.5], n_probes=10),
-                         omega=1.0)
-    xs = RngStream(606).generator().standard_normal((8, 10))
-    a = batch_scores(cfg, xs, rng=RngStream(607).generator())
-    b = batch_scores(cfg, xs, rng=RngStream(607).generator())
-    assert np.array_equal(a, b)
-
-
-def test_step_and_batch_share_hutchinson_probes():
+def test_step_matches_batch_on_network_mixtures():
     # detect, bench and calibrate all score through batch_scores, so one
-    # streaming step on a stochastic mixture draws the same probes as a
-    # one-row batch from an equally seeded generator
-    basis_inf, basis_post = make_rbm_family(RngStream(608))
-    cfg = DetectorConfig(ScoreMixture(basis_inf, [0.5, 0.5], n_probes=10),
-                         ScoreMixture(basis_post, [0.5, 0.5], n_probes=10),
-                         omega=1e9, rho=1.3)
-    x = RngStream(609).generator().standard_normal(10)
-    state = step(cfg, DetectorState(), x, rng=RngStream(610).generator())
-    want = batch_scores(cfg, x[None], rng=RngStream(610).generator())[0]
-    assert want > 0.0  # so the reflection at zero does not hide the increment
-    assert state.statistic == want
+    # streaming step on a learned pair adds exactly the increment of a
+    # one-row batch
+    cfg = _network_pair(608, rho=1.3, omega=1e9)
+    xs = RngStream(609).generator().standard_normal((20, 10))
+    positive = 0
+    for x in xs:
+        want = batch_scores(cfg, x[None])[0]
+        assert step(cfg, DetectorState(), x).statistic == max(want, 0.0)
+        positive += want > 0.0
+    assert positive  # so the reflection at zero does not hide every increment

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (GAP_NEAR, TRACE_VINV, V_REF, assert_laplacians_match,
-                      assert_scores_match, fd_score, make_rbm_family)
-from scoredetect import (Gaussian, GaussianMixture, Gbrbm, LangevinConfig,
-                         ModelError, RngStream, ScoreMixture, fisher_gaussian,
-                         fisher_mc, hutchinson_laplacian)
+                      assert_scores_match, fd_divergence, fd_score,
+                      make_rbm_family)
+from scoredetect import (BetaNetwork, Gaussian, GaussianMixture, Gbrbm,
+                         LangevinConfig, ModelError, RngStream, ScoreMixture,
+                         fisher_gaussian, fisher_mc, hutchinson_laplacian)
 
 
 def random_spd(gen, d):
@@ -196,7 +197,6 @@ def test_rbm_validation():
 
 def test_constant_mixture_exact_laplacian(inf_a, inf_b):
     mix = ScoreMixture([inf_a, inf_b], [0.25, 0.75])
-    assert mix.has_exact_laplacian
     x = np.array([0.1, 0.2])
     want_score = 0.25 * inf_a.score(x) + 0.75 * inf_b.score(x)
     assert np.allclose(mix.score(x), want_score, atol=1e-12)
@@ -213,25 +213,91 @@ def test_constant_mixture_is_a_geometric_mixture_score(inf_a, inf_b):
     assert_laplacians_match(mix, logp, points)
 
 
-def test_rbm_mixture_laplacian_is_stochastic():
+def test_rbm_mixture_laplacian_is_exact():
+    # constant weights: the divergence is the weighted sum of the members'
+    # closed-form Laplacians, deterministic and with no rng
     basis_inf, _ = make_rbm_family(RngStream(412))
-    mix = ScoreMixture(basis_inf, [0.5, 0.5], n_probes=10)
-    assert not mix.has_exact_laplacian
-    x = np.zeros(10)
-    with pytest.raises(ModelError, match="rng"):
-        mix.laplacian(x)
-    gen = RngStream(413).generator()
-    assert np.isfinite(mix.laplacian(x, rng=gen))
+    mix = ScoreMixture(basis_inf, [0.3, 0.7])
+    x = RngStream(413).generator().standard_normal((5, 10))
+    want = 0.3 * basis_inf[0].laplacian(x) + 0.7 * basis_inf[1].laplacian(x)
+    assert np.allclose(mix.laplacian(x), want, rtol=0, atol=1e-12)
+    assert mix.laplacian(x[0]) == pytest.approx(want[0], abs=1e-12)
+    assert np.array_equal(mix.laplacian(x), mix.laplacian(x))
+
+
+def _network_mixture(basis, seed):
+    net = BetaNetwork.initialize(basis[0].dim, len(basis), RngStream(seed).generator())
+    net.w2 = 30.0 * net.w2  # sharper weights make the grad-beta term count
+    return ScoreMixture(basis, net)
+
+
+def _exact_divergence_cases():
+    basis_inf, _ = make_rbm_family(RngStream(430))
+    gauss = [Gaussian([0.0, 1.0], V_REF), Gaussian([-1.0, 0.5], [[1.0, 0.3], [0.3, 0.5]])]
+    gmm = GaussianMixture([gauss[0], Gaussian([1.0, -1.0], V_REF)], [0.4, 0.6])
+    return {
+        "constant_rbm": (ScoreMixture(basis_inf, [0.4, 0.6]), 10),
+        "network_rbm": (_network_mixture(basis_inf, 431), 10),
+        "network_gaussian": (_network_mixture(gauss, 432), 2),
+        "constant_gmm_member": (ScoreMixture([gmm, gauss[1]], [0.5, 0.5]), 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant_rbm", "network_rbm", "network_gaussian",
+                                  "constant_gmm_member"])
+def test_mixture_laplacian_matches_the_jacobian_trace(case):
+    # the oracle differentiates the mixture score numerically, independent
+    # of the closed form sum_k beta_k lap_k + grad beta_k . s_k
+    mix, dim = _exact_divergence_cases()[case]
+    x = RngStream(433).generator().standard_normal((200, dim)) * 1.5
+    got = mix.laplacian(x)
+    want = fd_divergence(mix, x)
+    assert np.abs(got - want).max() <= 1e-7 * max(1.0, float(np.abs(want).max()))
+    s = mix.score(x)
+    assert np.allclose(mix.hyvarinen(x), 0.5 * np.sum(s * s, axis=-1) + got,
+                       rtol=0, atol=1e-12)
+
+
+def test_network_mixture_laplacian_agrees_with_many_hutchinson_probes():
+    basis_inf, _ = make_rbm_family(RngStream(434))
+    mix = _network_mixture(basis_inf, 435)
+    x = RngStream(436).generator().standard_normal((3, 10))
+    est, se = hutchinson_laplacian(mix, x, 4000, RngStream(437), return_stderr=True)
+    assert np.all(np.abs(est - mix.laplacian(x)) <= 4 * se)
+
+
+class _StubBeta:
+    """Point-dependent weights from fixed outputs, with a zero Jacobian of
+    a chosen shape."""
+
+    def __init__(self, weights, jac_shape=None):
+        self.weights = np.asarray(weights, dtype=float)
+        self.jac_shape = jac_shape
+
+    def __call__(self, x):
+        return np.broadcast_to(self.weights, x.shape[:-1] + self.weights.shape)
+
+    def weights_and_jacobian(self, x):
+        shape = self.jac_shape or x.shape[:-1] + self.weights.shape + x.shape[-1:]
+        return self(x), np.zeros(shape)
 
 
 def test_mixture_beta_callable_validation(inf_a, inf_b):
-    bad_shape = ScoreMixture([inf_a, inf_b], lambda x: np.ones(x.shape[:-1] + (3,)))
+    with pytest.raises(ModelError, match="weights_and_jacobian"):
+        ScoreMixture([inf_a, inf_b], lambda x: np.full(x.shape[:-1] + (2,), 0.5))
+    bad_shape = ScoreMixture([inf_a, inf_b], _StubBeta(np.ones(3) / 3))
     with pytest.raises(ModelError, match="shape"):
         bad_shape.score(np.zeros(2))
-    off_simplex = ScoreMixture([inf_a, inf_b],
-                               lambda x: np.full(x.shape[:-1] + (2,), 0.75))
+    with pytest.raises(ModelError, match="shape"):
+        bad_shape.hyvarinen(np.zeros(2))
+    off_simplex = ScoreMixture([inf_a, inf_b], _StubBeta([0.75, 0.75]))
     with pytest.raises(ModelError, match="simplex"):
         off_simplex.score(np.zeros(2))
+    with pytest.raises(ModelError, match="simplex"):
+        off_simplex.laplacian(np.zeros(2))
+    bad_jac = ScoreMixture([inf_a, inf_b], _StubBeta([0.5, 0.5], jac_shape=(2, 3)))
+    with pytest.raises(ModelError, match="Jacobian"):
+        bad_jac.laplacian(np.zeros(2))
 
 
 def test_mixture_validation(inf_a, inf_b):
@@ -239,8 +305,6 @@ def test_mixture_validation(inf_a, inf_b):
         ScoreMixture([], [])
     with pytest.raises(ModelError):
         ScoreMixture([inf_a, inf_b], [0.4, 0.4])
-    with pytest.raises(ModelError):
-        ScoreMixture([inf_a, inf_b], [0.5, 0.5], n_probes=0)
     with pytest.raises(ModelError):
         ScoreMixture([inf_a, inf_b], [0.5, 0.5], init_basis=2)
     with pytest.raises(ModelError):
@@ -331,10 +395,10 @@ def test_hutchinson_matches_exact_within_stderr():
 
 
 def test_hutchinson_shared_probes_are_deterministic(inf_a):
+    # equally seeded streams draw the same probes
     x = np.array([[0.2, 0.3], [1.0, -1.0]])
-    probes = RngStream(421).generator().standard_normal((8, 2, 2))
-    a = hutchinson_laplacian(inf_a, x, 8, probes=probes)
-    b = hutchinson_laplacian(inf_a, x, 8, probes=probes)
+    a = hutchinson_laplacian(inf_a, x, 8, RngStream(421))
+    b = hutchinson_laplacian(inf_a, x, 8, RngStream(421))
     assert np.array_equal(a, b)
 
 

@@ -46,28 +46,37 @@ def test_gbrbm_roundtrip():
 
 
 def test_constant_mixture_roundtrip(inf_a, post_a):
-    mix = ScoreMixture([inf_a, post_a], [0.3, 0.7], n_probes=7)
+    mix = ScoreMixture([inf_a, post_a], [0.3, 0.7])
     back = roundtrip(mix)
     assert isinstance(back, ScoreMixture)
-    assert back.n_probes == 7
     assert np.array_equal(back._const_beta, mix._const_beta)
     assert np.array_equal(back.score(POINTS), mix.score(POINTS))
 
 
 def test_network_mixture_roundtrip(inf_a, post_a):
     net = BetaNetwork.initialize(2, 2, RngStream(1003).generator())
-    mix = ScoreMixture([inf_a, post_a], net, n_probes=4)
+    mix = ScoreMixture([inf_a, post_a], net)
     d = mix.to_dict()
     assert isinstance(d["beta"], dict)
     back = load_model(json.loads(json.dumps(d)))
     assert callable(back.beta)
     assert np.array_equal(back.beta_weights(POINTS), mix.beta_weights(POINTS))
     assert np.array_equal(back.score(POINTS), mix.score(POINTS))
+    assert np.array_equal(back.hyvarinen(POINTS), mix.hyvarinen(POINTS))
+
+
+class _OpaqueBeta:
+    """Point-dependent weights with a Jacobian but no dictionary form."""
+
+    def __call__(self, x):
+        return np.full(x.shape[:-1] + (2,), 0.5)
+
+    def weights_and_jacobian(self, x):
+        return self(x), np.zeros(x.shape[:-1] + (2, x.shape[-1]))
 
 
 def test_opaque_beta_is_not_serializable(inf_a, post_a):
-    mix = ScoreMixture([inf_a, post_a],
-                       lambda x: np.full(x.shape[:-1] + (2,), 0.5))
+    mix = ScoreMixture([inf_a, post_a], _OpaqueBeta())
     with pytest.raises(NotImplementedError):
         mix.to_dict()
 
