@@ -4,9 +4,11 @@ expected detection delay (EDD) for score-based CUSUM detectors.
 Paths are simulated in fixed-size shards that advance in lockstep, each
 shard drawing from its own deterministic substream, so results are exactly
 reproducible for a fixed stream.  A single pass records the first crossing
-of every threshold in a grid at once, which is valid because first-crossing
-times of a shared statistic path are monotone in the threshold; a single
-threshold is a one-point grid.
+of every threshold in a grid at once; a single threshold is a one-point
+grid.  The grid is sorted, so a statistic that reaches ``omega_j`` has
+reached every lower threshold at that step or earlier: the thresholds a
+path has crossed are always a prefix of the grid, and one count per path
+records them.  A path is censored at exactly the thresholds past its count.
 """
 
 import csv
@@ -81,49 +83,46 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
                      paths: int, cap: int, stream: RngStream):
     """First crossing time of each threshold for every path.
 
-    Returns ``(times, censored)`` with shapes ``(paths, len(omegas))``;
-    censored entries hold the cap.  Thresholds must be sorted ascending.
-    A path retires once it has crossed the largest threshold.  Shards have
-    a fixed width and their own substreams, so the result depends only on
-    ``stream``.
+    Returns ``(times, crossed)``: ``times`` has shape ``(paths,
+    len(omegas))`` and holds the cap where a path never crossed;
+    ``crossed[i]`` counts the thresholds path ``i`` crossed, which are the
+    first ``crossed[i]`` of the ascending grid.  A path retires once it has
+    crossed the largest threshold.  Shards have a fixed width and their own
+    substreams, so the result depends only on ``stream``.
     """
     n_omega = omegas.size
     times = np.full((paths, n_omega), cap, dtype=np.int64)
-    censored = np.ones((paths, n_omega), dtype=bool)
+    crossed = np.zeros(paths, dtype=np.int64)
+    columns = np.arange(n_omega)
     for shard_index, start in enumerate(range(0, paths, _SHARD_PATHS)):
-        count = min(_SHARD_PATHS, paths - start)
         gen = stream.substream(shard_index).generator()
-        stat = np.zeros(count)
-        done = np.zeros((count, n_omega), dtype=bool)
-        alive = np.arange(count)
-        t_shard = times[start:start + count]
-        c_shard = censored[start:start + count]
+        alive = np.arange(start, min(start + _SHARD_PATHS, paths))
+        stat = np.zeros(alive.size)
         for n in range(1, cap + 1):
             draws = model.sample(alive.size, gen)
-            z = np.asarray(batch_scores(detector, draws))
-            stat[alive] = np.maximum(stat[alive] + z, 0.0)
-            sub_done = done[alive]
-            newly = (~sub_done) & (stat[alive, None] >= omegas)
-            if newly.any():
-                rows = t_shard[alive]
-                rows[newly] = n
-                t_shard[alive] = rows
-                rows = c_shard[alive]
-                rows[newly] = False
-                c_shard[alive] = rows
-                done[alive] = sub_done | newly
-                alive = alive[~done[alive].all(axis=1)]
+            stat = np.maximum(stat + np.asarray(batch_scores(detector, draws)), 0.0)
+            level = np.searchsorted(omegas, stat, side="right")
+            low = crossed[alive]
+            rose = level > low
+            if rose.any():
+                rows, top = alive[rose], level[rose]
+                # the new crossings of each rising row are columns [low, top)
+                hit, col = np.nonzero((columns >= low[rose, None]) & (columns < top[:, None]))
+                times[rows[hit], col] = n
+                crossed[rows] = top
+                keep = level < n_omega
+                alive, stat = alive[keep], stat[keep]
                 if alive.size == 0:
                     break
-    return times, censored
+    return times, crossed
 
 
-def _summarize(times_col, censored_col, paths) -> TrialSummary:
+def _summarize(times_col, censored: int) -> TrialSummary:
+    paths = times_col.size
     vals = times_col.astype(float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    n_cens = int(censored_col.sum())
-    return TrialSummary(mean, stderr, n_cens, paths, n_cens > 0)
+    return TrialSummary(mean, stderr, censored, paths, censored > 0)
 
 
 def threshold_grid(omegas) -> np.ndarray:
@@ -157,8 +156,9 @@ def run_lengths(law, detector: DetectorConfig, omegas, paths: int, cap: int,
         raise ValueError("paths and cap must be at least 1")
     if not isinstance(rng, RngStream):
         raise TypeError("run_lengths needs an RngStream")
-    times, cens = _first_crossings(law, detector, omegas, paths, cap, rng)
-    return [_summarize(times[:, j], cens[:, j], paths) for j in range(omegas.size)]
+    times, crossed = _first_crossings(law, detector, omegas, paths, cap, rng)
+    # path i is censored at threshold j exactly when j >= crossed[i]
+    return [_summarize(times[:, j], int((crossed <= j).sum())) for j in range(omegas.size)]
 
 
 def arl_edd_sweep(p_inf, p_post, detector: DetectorConfig, omegas,

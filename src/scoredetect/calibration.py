@@ -1,7 +1,8 @@
 """False-alarm calibration for score-based CUSUM detectors.
 
-The scaled increment ``rho * z(X)`` admits an exponential no-overshoot bound
-on the average run length as soon as ``E_inf[exp(rho z(X))] <= 1``.  With
+The scaled increment ``rho * z(X)`` of a detector pair ``(q_inf, q_post)``,
+with ``X ~ p_inf``, admits an exponential no-overshoot bound on the average
+run length as soon as ``E_inf[exp(rho z(X))] <= 1``.  With
 
     h(rho) = E_inf[exp(rho z(X))] - 1
 
@@ -71,9 +72,9 @@ class RhoSolution:
             raise ValueError("rho_star must be positive")
 
 
-def _draw_increments(p_inf, pair, n: int, rng) -> np.ndarray:
+def _draw_increments(p_inf, q_inf, q_post, n: int, rng) -> np.ndarray:
     draws = p_inf.sample(n, rng)
-    cfg = DetectorConfig(pair.q_inf, pair.q_post, omega=0.0, rho=1.0)
+    cfg = DetectorConfig(q_inf, q_post, omega=0.0, rho=1.0)
     return np.asarray(batch_scores(cfg, draws))
 
 
@@ -104,7 +105,7 @@ def _h_from_increments(z: np.ndarray, rho: float):
     return h_hat, math.sqrt(var / n)
 
 
-def mgf_gap(p_inf, pair, rho: float, n: int, rng):
+def mgf_gap(p_inf, q_inf, q_post, rho: float, n: int, rng):
     """Monte Carlo estimate of ``h(rho) = E_inf[exp(rho z)] - 1``.
 
     Returns ``(estimate, stderr)``; exact ``(0.0, 0.0)`` at ``rho = 0``.
@@ -113,34 +114,25 @@ def mgf_gap(p_inf, pair, rho: float, n: int, rng):
         raise ValueError("rho must be non-negative")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    return _h_from_increments(_draw_increments(p_inf, pair, n, rng), rho)
+    return _h_from_increments(_draw_increments(p_inf, q_inf, q_post, n, rng), rho)
 
 
-def _shared_v_gaussians(p_inf, pair):
-    models = (p_inf, pair.q_inf, pair.q_post)
-    if not all(isinstance(m, Gaussian) for m in models):
-        return None
-    cov = p_inf.cov
-    if any(np.abs(m.cov - cov).max() > 1e-10 for m in models[1:]):
-        return None
-    return cov
-
-
-def _closed_form(p_inf, pair):
+def _closed_form(p_inf, q_inf, q_post):
     """For Gaussians sharing ``V`` the increment is linear in ``x``, so
     ``h`` is a log-normal MGF minus one and the root is ``-2 m / s^2`` with
     ``m``, ``s^2`` the increment mean and variance under ``p_inf``."""
-    cov = _shared_v_gaussians(p_inf, pair)
-    if cov is None:
+    models = (p_inf, q_inf, q_post)
+    if not (all(isinstance(m, Gaussian) for m in models)
+            and all(np.abs(m.cov - p_inf.cov).max() <= 1e-10 for m in models[1:])):
         raise CalibrationError(
             "closed-form calibration needs Gaussian models with a shared covariance"
         )
-    vinv = p_inf.cov_inv
-    diff = pair.q_post.mean - pair.q_inf.mean
+    cov, vinv = p_inf.cov, p_inf.cov_inv
+    diff = q_post.mean - q_inf.mean
     coef = vinv @ vinv @ diff
     const = 0.5 * float(
-        pair.q_inf.mean @ vinv @ vinv @ pair.q_inf.mean
-        - pair.q_post.mean @ vinv @ vinv @ pair.q_post.mean
+        q_inf.mean @ vinv @ vinv @ q_inf.mean
+        - q_post.mean @ vinv @ vinv @ q_post.mean
     )
     mean = float(coef @ p_inf.mean) + const
     var = float(coef @ cov @ coef)
@@ -156,7 +148,7 @@ def _closed_form(p_inf, pair):
     return RhoSolution(rho, curve, "closed_form")
 
 
-def solve_rho_star(p_inf, pair, n: int, rng, tol: float = 0.01,
+def solve_rho_star(p_inf, q_inf, q_post, n: int, rng, tol: float = 0.01,
                    method: str = "monte_carlo") -> RhoSolution:
     """Find the largest multiplier whose scaled increment satisfies the
     false-alarm condition ``E_inf[exp(rho z)] <= 1``.
@@ -172,11 +164,11 @@ def solve_rho_star(p_inf, pair, n: int, rng, tol: float = 0.01,
     """
     if method == "auto":
         try:
-            return _closed_form(p_inf, pair)
+            return _closed_form(p_inf, q_inf, q_post)
         except CalibrationError:
             method = "monte_carlo"
     elif method == "closed_form":
-        return _closed_form(p_inf, pair)
+        return _closed_form(p_inf, q_inf, q_post)
     elif method != "monte_carlo":
         raise ValueError("method must be 'monte_carlo', 'closed_form', or 'auto'")
     if n < 2:
@@ -184,7 +176,7 @@ def solve_rho_star(p_inf, pair, n: int, rng, tol: float = 0.01,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    z = _draw_increments(p_inf, pair, n, rng)
+    z = _draw_increments(p_inf, q_inf, q_post, n, rng)
     drift = float(z.mean())
     drift_se = float(z.std(ddof=1) / math.sqrt(z.size))
     if drift >= -3.0 * drift_se:

@@ -25,7 +25,7 @@ from .detectors import DetectorConfig, DetectorState, step
 from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
-from .models import ModelError
+from .models import Gbrbm, ModelError
 from .rngs import RngStream
 from .samplers import LangevinConfig
 from .serialize import (dump_lfd_pair, dump_rho_solution, load_lfd_pair,
@@ -178,19 +178,14 @@ def cmd_calibrate(cfg, args):
     if "pair_file" in section:
         with open(section["pair_file"], "r", encoding="utf-8") as handle:
             pair = load_lfd_pair(json.load(handle))
+        q_inf, q_post = pair.q_inf, pair.q_post
     else:
         names = _require(section, "pair", "calibrate")
-        from .lfd import LfdPair
-        from .models import fisher_gaussian
-        q_inf = _named_model(table, names["q_inf"], "calibrate.pair")
-        q_post = _named_model(table, names["q_post"], "calibrate.pair")
-        try:
-            gap = fisher_gaussian(q_post, q_inf)
-        except ModelError:
-            gap = float(names.get("fisher_gap", 1.0))
-        pair = LfdPair(q_inf, q_post, gap, names.get("provenance", "analytic"))
+        q_inf, q_post = (
+            _named_model(table, _require(names, key, "calibrate.pair"), "calibrate.pair")
+            for key in ("q_inf", "q_post"))
     sol = solve_rho_star(
-        p_inf, pair, int(section.get("n", 200000)),
+        p_inf, q_inf, q_post, int(section.get("n", 200000)),
         stream.substream(1).generator(),
         tol=float(section.get("tol", 0.01)),
         method=section.get("method", "monte_carlo"),
@@ -303,15 +298,17 @@ def cmd_detect(cfg, args):
 def cmd_sample(cfg, args):
     section = _require(cfg, "sample", "top level")
     table = _models_table(cfg)
-    out = _out_dir(cfg, args)
-    stream = _seed_stream(cfg, args)
     model = _named_model(table, _require(section, "model", "sample"), "sample")
     n = int(_require(section, "n", "sample"))
-    kwargs = {}
-    if "burn_in" in section:
-        kwargs["burn_in"] = int(section["burn_in"])
-    if "thin" in section:
-        kwargs["thin"] = int(section["thin"])
+    kwargs = {key: int(section[key]) for key in ("burn_in", "thin") if key in section}
+    if kwargs and not isinstance(model, Gbrbm):  # Gibbs options of a gbrbm only
+        raise ConfigError(f"sample.{min(kwargs)} applies only to a gbrbm model")
+    for key, value in (("n", n), *kwargs.items()):
+        low = 0 if key == "burn_in" else 1
+        if value < low:
+            raise ConfigError(f"sample.{key} must be at least {low}, got {value}")
+    out = _out_dir(cfg, args)
+    stream = _seed_stream(cfg, args)
     draws = model.sample(n, stream.substream(3).generator(), **kwargs)
     path = os.path.join(out, "samples.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

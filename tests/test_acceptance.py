@@ -105,13 +105,11 @@ def test_criterion_02_lfd_identification():
 
 
 def run_rho_star(seed, n=3_000_000):
-    pair = LfdPair(INF_A, POST_A, GAP_NEAR, "analytic")
-    return solve_rho_star(INF_A, pair, n, RngStream(seed), tol=0.005)
+    return solve_rho_star(INF_A, INF_A, POST_A, n, RngStream(seed), tol=0.005)
 
 
 def test_criterion_03_rho_star():
-    pair = LfdPair(INF_A, POST_A, GAP_NEAR, "analytic")
-    exact = solve_rho_star(INF_A, pair, 2, RngStream(0), method="closed_form")
+    exact = solve_rho_star(INF_A, INF_A, POST_A, 2, RngStream(0), method="closed_form")
     assert exact.rho_star == pytest.approx(RHO_STAR, abs=1e-12)
     sol = run_rho_star(SEEDS["rho_star"])
     print(f"closed_form={exact.rho_star:.10g} monte_carlo={sol.rho_star:.6g}")

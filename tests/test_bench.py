@@ -7,7 +7,7 @@ import pytest
 from conftest import GAP_NEAR, drift_stats
 from scoredetect import (DetectorConfig, RngStream, arl_edd_sweep,
                          estimate_drift, run_lengths, write_sweep_csv)
-from scoredetect.bench import SWEEP_COLUMNS
+from scoredetect.bench import SWEEP_COLUMNS, _first_crossings
 
 
 @pytest.fixture()
@@ -118,6 +118,35 @@ def test_sweep_grid_validation(detector, inf_a, post_a):
             sweep(detector, inf_a, post_a, 914, grid, 16, 16, 10)
     with pytest.raises(ValueError):
         sweep(detector, inf_a, post_a, 914, [1.0], 16, 0, 10)
+
+
+def test_grid_pass_matches_one_threshold_at_a_time(detector, inf_a, post_a):
+    # a top threshold no path reaches within the cap keeps every path alive
+    # to the cap, so every grid below consumes the same draws and the grid
+    # pass must agree path by path with one pass per threshold
+    grid, huge, paths, cap = [0.0, 0.3, 0.7, 1.5, 2.5], 1e6, 300, 40
+    for law in (inf_a, post_a):
+        times, crossed = _first_crossings(law, detector, np.array(grid + [huge]),
+                                          paths, cap, RngStream(916))
+        rows = run_lengths(law, detector, grid + [huge], paths, cap, RngStream(916))
+        alone_times, alone_censored = [], []
+        for j, omega in enumerate(grid):
+            t, c = _first_crossings(law, detector, np.array([omega, huge]),
+                                    paths, cap, RngStream(916))
+            alone_times.append(t[:, 0])
+            alone_censored.append(c == 0)
+            assert rows[j] == run_lengths(law, detector, [omega, huge], paths, cap,
+                                          RngStream(916))[0]
+        alone_times = np.stack(alone_times, axis=1)
+        alone_censored = np.stack(alone_censored, axis=1)
+        assert np.array_equal(times[:, :-1], alone_times)
+        assert np.array_equal(np.arange(len(grid)) >= crossed[:, None], alone_censored)
+        # per path: times never fall along the grid, censoring is a suffix
+        assert np.all(np.diff(alone_times, axis=1) >= 0)
+        assert np.all(alone_censored[:, :-1] <= alone_censored[:, 1:])
+        assert np.all(alone_times[alone_censored] == cap)
+        assert np.all(times[:, -1] == cap) and rows[-1].censored == paths
+        assert alone_censored.any() and not alone_censored.all()
 
 
 # ---------------------------------------------------------------------------

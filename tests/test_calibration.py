@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GAP_NEAR, V_REF, drift_stats
 from scoredetect import (CalibrationError, DriftSignError, Gaussian,
-                         GaussianMixture, LfdPair, RHO_CAP, RhoSolution,
+                         GaussianMixture, RHO_CAP, RhoSolution,
                          RngStream, gaussian_polytope_lfd, mgf_gap,
                          solve_rho_star, threshold_for_arl)
 
@@ -14,8 +14,9 @@ RHO_STAR = 2.2  # -2m/s^2 for the reference geometry
 
 @pytest.fixture(scope="module")
 def pair(families):
-    pre, post = families
-    return gaussian_polytope_lfd(pre, post)
+    """The least-favorable ``(q_inf, q_post)`` of the reference geometry."""
+    lfd = gaussian_polytope_lfd(*families)
+    return lfd.q_inf, lfd.q_post
 
 
 # ---------------------------------------------------------------------------
@@ -23,14 +24,14 @@ def pair(families):
 
 
 def test_h_is_exactly_zero_at_rho_zero(inf_a, pair):
-    assert mgf_gap(inf_a, pair, 0.0, 100, RngStream(801)) == (0.0, 0.0)
+    assert mgf_gap(inf_a, *pair, 0.0, 100, RngStream(801)) == (0.0, 0.0)
 
 
 def test_h_at_one_matches_the_lognormal_value(inf_a, pair):
     # the increment is linear in x, so exp(z) is lognormal with known MGF
-    m, var = drift_stats(inf_a.mean, pair.q_inf.mean, pair.q_post.mean)
+    m, var = drift_stats(inf_a.mean, *(q.mean for q in pair))
     want = math.expm1(m + 0.5 * var)
-    est, se = mgf_gap(inf_a, pair, 1.0, 400000, RngStream(802))
+    est, se = mgf_gap(inf_a, *pair, 1.0, 400000, RngStream(802))
     assert se > 0
     assert abs(est - want) <= 3 * se
     assert want == pytest.approx(-0.0277811, abs=1e-6)
@@ -40,7 +41,7 @@ def test_h_curve_is_convex_under_common_random_numbers(inf_a, pair):
     # reusing the stream reuses the draws, so the estimated curve is an
     # exact convex function of rho
     rhos = np.linspace(0.0, 3.0, 13)
-    h = [mgf_gap(inf_a, pair, float(r), 20000, RngStream(803))[0] for r in rhos]
+    h = [mgf_gap(inf_a, *pair, float(r), 20000, RngStream(803))[0] for r in rhos]
     second = np.diff(h, 2)
     assert second.min() >= -1e-12
     assert h[1] < 0.0  # negative drift pulls h below zero near the origin
@@ -51,7 +52,7 @@ def test_h_curve_is_convex_under_common_random_numbers(inf_a, pair):
 
 
 def test_closed_form_recovers_the_exact_multiplier(inf_a, pair):
-    sol = solve_rho_star(inf_a, pair, 2, RngStream(804), method="closed_form")
+    sol = solve_rho_star(inf_a, *pair, 2, RngStream(804), method="closed_form")
     assert sol.method == "closed_form"
     assert not sol.degenerate
     assert sol.rho_star == pytest.approx(RHO_STAR, abs=1e-12)
@@ -64,19 +65,19 @@ def test_closed_form_recovers_the_exact_multiplier(inf_a, pair):
 def test_closed_form_same_for_every_pre_change_vertex(inf_b, pair):
     # rho* depends on the pair geometry only through -2m/s^2; for the far
     # vertex the drift and the variance scale together
-    sol = solve_rho_star(inf_b, pair, 2, RngStream(805), method="closed_form")
-    m, var = drift_stats(inf_b.mean, pair.q_inf.mean, pair.q_post.mean)
+    sol = solve_rho_star(inf_b, *pair, 2, RngStream(805), method="closed_form")
+    m, var = drift_stats(inf_b.mean, *(q.mean for q in pair))
     assert sol.rho_star == pytest.approx(-2.0 * m / var, abs=1e-12)
 
 
 def test_closed_form_rejects_mismatched_covariances(inf_a, pair):
     other = Gaussian(inf_a.mean, 1.3 * V_REF)
     with pytest.raises(CalibrationError, match="shared covariance"):
-        solve_rho_star(other, pair, 2, RngStream(806), method="closed_form")
+        solve_rho_star(other, *pair, 2, RngStream(806), method="closed_form")
 
 
 def test_auto_prefers_the_closed_form(inf_a, pair):
-    sol = solve_rho_star(inf_a, pair, 2, RngStream(807), method="auto")
+    sol = solve_rho_star(inf_a, *pair, 2, RngStream(807), method="auto")
     assert sol.method == "closed_form"
     assert sol.rho_star == pytest.approx(RHO_STAR, abs=1e-12)
 
@@ -85,7 +86,7 @@ def test_auto_falls_back_to_monte_carlo(inf_a, pair):
     # a mixture wrapper has the same law but is not a plain Gaussian, so
     # the closed form does not apply
     wrapped = GaussianMixture([inf_a], [1.0])
-    sol = solve_rho_star(wrapped, pair, 50000, RngStream(808), method="auto")
+    sol = solve_rho_star(wrapped, *pair, 50000, RngStream(808), method="auto")
     assert sol.method == "monte_carlo"
     assert sol.rho_star == pytest.approx(RHO_STAR, abs=0.25)
 
@@ -95,7 +96,7 @@ def test_auto_falls_back_to_monte_carlo(inf_a, pair):
 
 
 def test_monte_carlo_root_matches_the_closed_form(inf_a, pair):
-    sol = solve_rho_star(inf_a, pair, 200000, RngStream(809), tol=0.005)
+    sol = solve_rho_star(inf_a, *pair, 200000, RngStream(809), tol=0.005)
     assert sol.method == "monte_carlo"
     assert not sol.degenerate
     assert abs(sol.rho_star - RHO_STAR) < 0.1
@@ -105,11 +106,10 @@ def test_monte_carlo_root_matches_the_closed_form(inf_a, pair):
 
 
 def test_swapped_pair_raises_drift_sign_error(inf_a, pair):
-    swapped = LfdPair(pair.q_post, pair.q_inf, pair.fisher_gap, "analytic")
     with pytest.raises(DriftSignError, match="drift"):
-        solve_rho_star(inf_a, swapped, 20000, RngStream(810))
+        solve_rho_star(inf_a, *pair[::-1], 20000, RngStream(810))
     with pytest.raises(DriftSignError):
-        solve_rho_star(inf_a, swapped, 2, RngStream(811), method="closed_form")
+        solve_rho_star(inf_a, *pair[::-1], 2, RngStream(811), method="closed_form")
 
 
 class _HeavierTail(Gaussian):
@@ -121,9 +121,8 @@ class _HeavierTail(Gaussian):
 
 
 def test_every_multiplier_admissible_is_reported_degenerate(inf_a, pair):
-    heavier = _HeavierTail(pair.q_inf.mean, V_REF)
-    constant = LfdPair(pair.q_inf, heavier, fisher_gap=1.0, provenance="analytic")
-    sol = solve_rho_star(inf_a, constant, 1000, RngStream(812))
+    heavier = _HeavierTail(pair[0].mean, V_REF)
+    sol = solve_rho_star(inf_a, pair[0], heavier, 1000, RngStream(812))
     assert sol.degenerate
     assert sol.rho_star == RHO_CAP
     assert "cap" in sol.message
@@ -151,12 +150,11 @@ class _SpikerPost(_Spiker):
         return np.where(x > 0.999, -800.0, 5.0)
 
 
-def test_mgf_overflow_is_reported(inf_a):
-    pair = LfdPair(_Spiker(), _SpikerPost(), fisher_gap=1.0, provenance="analytic")
+def test_mgf_overflow_is_reported():
     with pytest.raises(CalibrationError, match="overflow"):
-        mgf_gap(_Spiker(), pair, 1.0, 2000, RngStream(813))
+        mgf_gap(_Spiker(), _Spiker(), _SpikerPost(), 1.0, 2000, RngStream(813))
     with pytest.raises(CalibrationError, match="overflow"):
-        solve_rho_star(_Spiker(), pair, 2000, RngStream(814))
+        solve_rho_star(_Spiker(), _Spiker(), _SpikerPost(), 2000, RngStream(814))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +190,12 @@ def test_rho_solution_validation():
 
 def test_solver_validation(inf_a, pair):
     with pytest.raises(ValueError):
-        mgf_gap(inf_a, pair, -1.0, 100, RngStream(815))
+        mgf_gap(inf_a, *pair, -1.0, 100, RngStream(815))
     with pytest.raises(ValueError):
-        mgf_gap(inf_a, pair, 1.0, 1, RngStream(816))
+        mgf_gap(inf_a, *pair, 1.0, 1, RngStream(816))
     with pytest.raises(ValueError):
-        solve_rho_star(inf_a, pair, 1, RngStream(817))
+        solve_rho_star(inf_a, *pair, 1, RngStream(817))
     with pytest.raises(ValueError):
-        solve_rho_star(inf_a, pair, 100, RngStream(818), tol=0.0)
+        solve_rho_star(inf_a, *pair, 100, RngStream(818), tol=0.0)
     with pytest.raises(ValueError):
-        solve_rho_star(inf_a, pair, 100, RngStream(819), method="bogus")
+        solve_rho_star(inf_a, *pair, 100, RngStream(819), method="bogus")

@@ -190,6 +190,23 @@ def test_calibrate_swapped_pair_is_an_assumption_failure(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err
 
 
+def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
+    cfg = base_config(calibrate={"p_inf": "inf_a", "pair": {"q_inf": "inf_a"}})
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--seed", "9", "--out", str(tmp_path),
+                 "calibrate"]) == 2
+    err = capsys.readouterr().err
+    assert "calibrate.pair" in err and "q_post" in err
+
+
+def test_calibrate_identical_pair_is_an_assumption_failure(tmp_path, capsys):
+    cfg = calibrate_config(q_post="inf_a", n=5000)
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--seed", "9", "--out", str(tmp_path),
+                 "calibrate"]) == 3
+    assert "drift" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -384,16 +401,35 @@ def test_sample_gaussian_deterministic(tmp_path, capsys):
     assert (out / "samples.csv").read_bytes() == first
 
 
+RBM = {"type": "gbrbm", "weights": [[0.1, -0.2], [0.0, 0.3]],
+       "visible_bias": [0.5, -0.5], "hidden_bias": [0.0, 0.1]}
+
+
 def test_sample_gbrbm_with_gibbs_options(tmp_path, capsys):
-    rbm = {"type": "gbrbm", "weights": [[0.1, -0.2], [0.0, 0.3]],
-           "visible_bias": [0.5, -0.5], "hidden_bias": [0.0, 0.1]}
     cfg = base_config(sample={"model": "rbm", "n": 12, "burn_in": 20, "thin": 2})
-    cfg["models"]["rbm"] = rbm
+    cfg["models"]["rbm"] = RBM
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["--config", path, "--seed", "4", "--out", str(out), "sample"]) == 0
     lines = (out / "samples.csv").read_text().splitlines()
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"burn_in": 10}, "sample.burn_in"),
+    ({"thin": 2}, "sample.thin"),
+    ({"n": 0}, "sample.n"),
+    ({"model": "rbm", "thin": 0}, "sample.thin"),
+    ({"model": "rbm", "burn_in": -1}, "sample.burn_in"),
+])
+def test_sample_rejects_bad_fields_before_drawing(tmp_path, capsys, extra, field):
+    cfg = base_config(sample={"model": "inf_a", "n": 3, **extra})
+    cfg["models"]["rbm"] = RBM
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seed", "1", "--out", str(out), "sample"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
 
 
 # ---------------------------------------------------------------------------
