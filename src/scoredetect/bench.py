@@ -13,7 +13,7 @@ records them.  A path is censored at exactly the thresholds past its count.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,16 +32,6 @@ __all__ = [
 ]
 
 _SHARD_PATHS = 256  # fixed shard width; part of the determinism contract
-
-SWEEP_COLUMNS = (
-    "omega",
-    "arl",
-    "arl_stderr",
-    "arl_censored",
-    "edd",
-    "edd_stderr",
-    "edd_censored",
-)
 
 
 @dataclass(frozen=True)
@@ -68,6 +58,9 @@ class SweepRow:
     edd: float
     edd_stderr: float
     edd_censored: int
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def estimate_drift(model, detector: DetectorConfig, n: int, rng):
@@ -198,13 +191,6 @@ def write_sweep_csv(rows, fp) -> None:
 def _write_sweep(rows, handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            f"{r.omega:.10g}",
-            f"{r.arl:.10g}",
-            f"{r.arl_stderr:.10g}",
-            r.arl_censored,
-            f"{r.edd:.10g}",
-            f"{r.edd_stderr:.10g}",
-            r.edd_censored,
-        ])
+    for r in rows:  # counts as integers, every other column as '%.10g'
+        writer.writerow([v if name.endswith("_censored") else f"{v:.10g}"
+                         for name, v in zip(SWEEP_COLUMNS, astuple(r))])

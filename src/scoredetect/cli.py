@@ -25,7 +25,7 @@ from .detectors import DetectorConfig, DetectorState, step
 from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
-from .models import Gbrbm, ModelError
+from .models import Gaussian, Gbrbm, ModelError
 from .rngs import RngStream
 from .samplers import LangevinConfig
 from .serialize import (dump_lfd_pair, dump_rho_solution, load_lfd_pair,
@@ -46,16 +46,40 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _field(section, context, key, default, low, kind=int):
+    """``section[key]`` (or ``default``) as an integer of at least ``low``, or with
+    ``kind=float`` a finite number above it; else a ConfigError naming ``context.key``."""
+    value = section.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = float("nan")
+    if isinstance(value, bool) or number != value or not (
+            low < number < float("inf") if kind is float else number >= low):
+        need = "a finite number above" if kind is float else "an integer of at least"
+        raise ConfigError(f"{context}.{key} must be {need} {low}, got {value!r}")
+    return number
+
+
+def _open(path, name):
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+
+
+def _read_json(path, name):
+    with _open(path, name) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name} is not valid JSON: {exc}") from None
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("--config is required")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    cfg = _read_json(path, "config")
     if cfg.get("version") != 1:
         raise ConfigError("config must declare \"version\": 1")
     return cfg
@@ -114,21 +138,23 @@ def cmd_lfd(cfg, args):
         basis_inf = [_named_model(table, n, "lfd.basis_inf") for n in _require(section, "basis_inf", "lfd")]
         basis_post = [_named_model(table, n, "lfd.basis_post") for n in _require(section, "basis_post", "lfd")]
         train = section.get("train", {})
-        lang = train.get("langevin", {})
+        lang = train.get("langevin", {}) if isinstance(train, dict) else None
+        if not isinstance(lang, dict):
+            raise ConfigError("lfd.train and lfd.train.langevin must be JSON objects")
         tc = TrainConfig(
             rng=stream.substream(0),
-            epochs=int(train.get("epochs", 50)),
-            learning_rate=float(train.get("learning_rate", 1e-3)),
-            langevin=LangevinConfig(
-                step=float(lang.get("step", 0.01)),
-                steps=int(lang.get("steps", 1000)),
-            ),
-            particle_count=int(train.get("particles", 10000)),
-            minibatch=int(train.get("minibatch", 256)),
-            hidden=int(train.get("hidden", 5)),
-            holdout=int(train.get("holdout", 1000)),
-            init_basis=int(train.get("init_basis", 0)),
+            epochs=_field(train, "lfd.train", "epochs", 50, 1),
+            learning_rate=_field(train, "lfd.train", "learning_rate", 1e-3, 0, float),
+            langevin=LangevinConfig(step=_field(lang, "lfd.train.langevin", "step", 0.01, 0, float),
+                                    steps=_field(lang, "lfd.train.langevin", "steps", 1000, 0)),
+            particle_count=_field(train, "lfd.train", "particles", 10000, 2),
+            minibatch=_field(train, "lfd.train", "minibatch", 256, 1),
+            hidden=_field(train, "lfd.train", "hidden", 5, 1),
+            holdout=_field(train, "lfd.train", "holdout", 1000, 2),
+            init_basis=_field(train, "lfd.train", "init_basis", 0, 0),
         )
+        if tc.init_basis >= len(basis_post):
+            raise ConfigError(f"lfd.train.init_basis must be below len(lfd.basis_post) = {len(basis_post)}")
         pair, report = train_beta_networks(basis_inf, basis_post, tc)
     else:
         raise ConfigError("lfd.method must be 'analytic' or 'learned'")
@@ -155,7 +181,6 @@ def cmd_lfd(cfg, args):
         basis = [_named_model(table, n, "lfd.verify") for n in verify["basis_inf"]] \
             if "basis_inf" in verify else None
         if basis is None:
-            from .models import Gaussian
             basis = [Gaussian(v, np.asarray(section["cov"], float))
                      for v in np.asarray(section["pre_vertices"], float)]
         rep = verify_drift_condition(basis, pair, int(verify.get("n", 50000)),
@@ -176,8 +201,7 @@ def cmd_calibrate(cfg, args):
     stream = _seed_stream(cfg, args)
     p_inf = _named_model(table, _require(section, "p_inf", "calibrate"), "calibrate")
     if "pair_file" in section:
-        with open(section["pair_file"], "r", encoding="utf-8") as handle:
-            pair = load_lfd_pair(json.load(handle))
+        pair = load_lfd_pair(_read_json(section["pair_file"], "calibrate.pair_file"))
         q_inf, q_post = pair.q_inf, pair.q_post
     else:
         names = _require(section, "pair", "calibrate")
@@ -209,12 +233,9 @@ def _bench_trial(table, trial, i):
     name = _require(trial, "name", "bench.trials")
     detector = _detector_from(table, _require(trial, "detector", name), name)
     laws = [_named_model(table, _require(trial, key, name), name) for key in ("p_inf", "p_post")]
-    sizes = {key: int(trial.get(key, default)) for key, default in
-             (("drift_n", 50000), ("arl_paths", 2000), ("edd_paths", 5000), ("cap", 100000))}
-    for key, value in sizes.items():
-        low = 2 if key == "drift_n" else 1
-        if value < low:
-            raise ConfigError(f"bench.trials[{i}].{key} must be at least {low}, got {value}")
+    sizes = {key: _field(trial, f"bench.trials[{i}]", key, default, 2 if key == "drift_n" else 1)
+             for key, default in (("drift_n", 50000), ("arl_paths", 2000), ("edd_paths", 5000),
+                                  ("cap", 100000))}
     try:  # a trial without thresholds reports its drifts only
         omegas = threshold_grid(trial["omegas"]) if trial.get("omegas") else None
     except ValueError as exc:
@@ -274,7 +295,7 @@ def cmd_detect(cfg, args):
                               "detect", omega=section["detector"].get("omega"))
     cap = int(section.get("cap", 10**9))
     state = DetectorState()
-    handle = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
+    handle = _open(args.input, "detect --input") if args.input else sys.stdin
     try:
         for lineno, vec in _parse_stream(handle):
             if vec.size != detector.model_inf.dim:
@@ -299,14 +320,11 @@ def cmd_sample(cfg, args):
     section = _require(cfg, "sample", "top level")
     table = _models_table(cfg)
     model = _named_model(table, _require(section, "model", "sample"), "sample")
-    n = int(_require(section, "n", "sample"))
-    kwargs = {key: int(section[key]) for key in ("burn_in", "thin") if key in section}
+    n = _field(section, "sample", "n", _require(section, "n", "sample"), 1)
+    kwargs = {key: _field(section, "sample", key, None, 0 if key == "burn_in" else 1)
+              for key in ("burn_in", "thin") if key in section}
     if kwargs and not isinstance(model, Gbrbm):  # Gibbs options of a gbrbm only
         raise ConfigError(f"sample.{min(kwargs)} applies only to a gbrbm model")
-    for key, value in (("n", n), *kwargs.items()):
-        low = 0 if key == "burn_in" else 1
-        if value < low:
-            raise ConfigError(f"sample.{key} must be at least {low}, got {value}")
     out = _out_dir(cfg, args)
     stream = _seed_stream(cfg, args)
     draws = model.sample(n, stream.substream(3).generator(), **kwargs)

@@ -33,7 +33,7 @@ class LangevinConfig:
 
 
 def _sigmoid(t):
-    # cannot overflow; 4x faster than exp(-softplus(-t)) and within 1e-16 of it
+    # cannot overflow; within 1e-16 of exp(-softplus(-t)); faster on batches, slower on one row
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 

@@ -139,6 +139,33 @@ def test_lfd_learned_requires_a_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("particles", 1), ("epochs", "x"), ("epochs", 2.5), ("epochs", None), ("holdout", True),
+    ("learning_rate", 0), ("learning_rate", float("nan")), ("minibatch", 0), ("hidden", 0),
+    ("init_basis", -1), ("init_basis", 2), ("langevin.step", -0.1), ("langevin.steps", -1),
+])
+def test_lfd_names_the_bad_train_field(tmp_path, capsys, key, value):
+    cfg = learned_section()
+    section = cfg["lfd"]["train"]
+    *parents, leaf = key.split(".")
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "lfd"]) == 2
+    assert f"lfd.train.{key}" in capsys.readouterr().err
+    assert not (out / "lfd.json").exists()
+
+
+def test_lfd_train_must_be_an_object(tmp_path, capsys):
+    cfg = learned_section()
+    cfg["lfd"]["train"] = [4]
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path), "lfd"]) == 2
+    assert "lfd.train" in capsys.readouterr().err
+
+
 def test_lfd_bad_method(tmp_path, capsys):
     cfg = base_config(lfd={"method": "guess"})
     path = write_config(tmp_path, cfg)
@@ -197,6 +224,21 @@ def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
                  "calibrate"]) == 2
     err = capsys.readouterr().err
     assert "calibrate.pair" in err and "q_post" in err
+
+
+@pytest.mark.parametrize("content, message", [(None, "cannot read"),
+                                              ("{not json", "not valid JSON")])
+def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, message):
+    pair_file = tmp_path / "lfd.json"
+    if content is not None:
+        pair_file.write_text(content)
+    cfg = base_config(calibrate={"p_inf": "inf_a", "pair_file": str(pair_file), "n": 5000})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seed", "9", "--out", str(out), "calibrate"]) == 2
+    err = capsys.readouterr().err
+    assert "calibrate.pair_file" in err and message in err
+    assert not (out / "calibration.json").exists()
 
 
 def test_calibrate_identical_pair_is_an_assumption_failure(tmp_path, capsys):
@@ -326,6 +368,15 @@ def test_detect_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2.42,2.42\n" * 6))
     assert main(["--config", path, "detect"]) == 0
     assert capsys.readouterr().out.startswith("stopped_at=6")
+
+
+def test_detect_names_a_missing_input_file(tmp_path, capsys):
+    path = write_config(tmp_path, detect_config())
+    missing = tmp_path / "no_such_stream.txt"
+    assert main(["--config", path, "detect", "--input", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert "--input" in captured.err and "no_such_stream.txt" in captured.err
+    assert captured.out == ""
 
 
 def test_detect_names_the_malformed_line(tmp_path, capsys):

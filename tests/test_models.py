@@ -323,6 +323,64 @@ def test_mixture_sampling_tracks_member(inf_a):
 # hyvarinen score and divergences
 
 
+def _one_of_each_family():
+    gen = RngStream(440).generator()
+    basis_inf, _ = make_rbm_family(RngStream(441))
+    gauss = Gaussian([0.5, -1.0], random_spd(gen, 2))
+    return {
+        "gaussian": gauss,
+        "gmm": GaussianMixture([gauss, Gaussian([1.0, 2.0], V_REF)], [0.3, 0.7]),
+        "rbm": basis_inf[0],
+        "constant_mixture": ScoreMixture(basis_inf, [0.4, 0.6]),
+        "network_mixture": _network_mixture(basis_inf, 442),
+    }
+
+
+FAMILIES = ["gaussian", "gmm", "rbm", "constant_mixture", "network_mixture"]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fused_hyvarinen_is_bitwise_the_public_formula(family):
+    # hyvarinen runs the fused kernel once; score and laplacian are the
+    # public methods, and the finite-difference divergence is independent
+    model = _one_of_each_family()[family]
+    batch = RngStream(443).generator().standard_normal((64, model.dim)) * 1.5
+    for x in (batch[0], batch):
+        s = np.asarray(model.score(x))
+        want = 0.5 * np.sum(s * s, axis=-1) + model.laplacian(x)
+        got = model.hyvarinen(x)
+        assert np.shape(got) == x.shape[:-1]
+        assert _bits(got) == _bits(want)
+    want = fd_divergence(model, batch)
+    assert np.abs(model.laplacian(batch) - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hyvarinen_checks_its_points_and_leaves_them_alone(family):
+    model = _one_of_each_family()[family]
+    d = model.dim
+    for bad in (np.zeros(d + 1), np.zeros((3, d - 1)), np.float64(0.0)):
+        with pytest.raises(ModelError, match="dimension"):
+            model.hyvarinen(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        x = np.zeros((4, d))
+        x[2, 1] = value
+        for pts in (x, x[2]):
+            with pytest.raises(ModelError, match="non-finite"):
+                model.hyvarinen(pts)
+    x = RngStream(444).generator().standard_normal((8, d))
+    keep = x.copy()
+    model.hyvarinen(x)
+    model.hyvarinen(x[3])
+    model.hyvarinen(x[:, ::-1])
+    assert _bits(x) == _bits(keep)
+    assert _bits(model.hyvarinen(list(x[3]))) == _bits(model.hyvarinen(keep[3]))
+
+
 def test_hyvarinen_combines_score_and_laplacian(gmm):
     x = np.array([0.7, -0.4])
     s = gmm.score(x)
