@@ -176,21 +176,11 @@ def arl_edd_sweep(p_inf, p_post, detector: DetectorConfig, omegas,
     ]
 
 
-def write_sweep_csv(rows, fp) -> None:
-    """Write sweep rows as CSV (header mandatory, LF endings, '%.10g' floats).
-
-    ``fp`` is a path or an open text file.
-    """
-    if hasattr(fp, "write"):
-        _write_sweep(rows, fp)
-    else:
-        with open(fp, "w", encoding="utf-8", newline="") as handle:
-            _write_sweep(rows, handle)
-
-
-def _write_sweep(rows, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for r in rows:  # counts as integers, every other column as '%.10g'
-        writer.writerow([v if name.endswith("_censored") else f"{v:.10g}"
-                         for name, v in zip(SWEEP_COLUMNS, astuple(r))])
+def write_sweep_csv(rows, path) -> None:
+    """Write sweep rows to ``path`` as CSV (header mandatory, LF endings, '%.10g' floats)."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        for r in rows:  # counts as integers, every other column as '%.10g'
+            writer.writerow([v if name.endswith("_censored") else f"{v:.10g}"
+                             for name, v in zip(SWEEP_COLUMNS, astuple(r))])

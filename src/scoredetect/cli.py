@@ -46,6 +46,12 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _field(section, context, key, default, low, kind=int):
     """``section[key]`` (or ``default``) as an integer of at least ``low``, or with
     ``kind=float`` a finite number above it; else a ConfigError naming ``context.key``."""
@@ -71,7 +77,7 @@ def _open(path, name):
 def _read_json(path, name):
     with _open(path, name) as handle:
         try:
-            return json.load(handle)
+            return _object(json.load(handle), name)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} is not valid JSON: {exc}") from None
 
@@ -87,7 +93,7 @@ def _load_config(path):
 
 def _models_table(cfg):
     table = {}
-    for name, desc in cfg.get("models", {}).items():
+    for name, desc in _object(cfg.get("models", {}), "models").items():
         table[name] = load_model(desc)
     return table
 
@@ -111,20 +117,19 @@ def _out_dir(cfg, args):
     return out
 
 
-def _detector_from(table, desc, context, omega=None):
-    model_inf = _named_model(table, _require(desc, "model_inf", context), context)
-    model_post = _named_model(table, _require(desc, "model_post", context), context)
-    return DetectorConfig(
-        model_inf=model_inf,
-        model_post=model_post,
-        omega=float(desc.get("omega", 0.0)) if omega is None else float(omega),
-        rho=float(desc.get("rho", 1.0)),
-    )
+def _detector_from(table, desc, context):
+    desc = _object(desc, f"{context}.detector")
+    models = (_named_model(table, _require(desc, key, context), context)
+              for key in ("model_inf", "model_post"))
+    return DetectorConfig(*models, omega=float(desc.get("omega", 0.0)),
+                          rho=float(desc.get("rho", 1.0)))
 
 
 def cmd_lfd(cfg, args):
-    section = _require(cfg, "lfd", "top level")
+    section = _object(_require(cfg, "lfd", "top level"), "lfd")
     table = _models_table(cfg)
+    verify = _object(section.get("verify") or {}, "lfd.verify")
+    verify_n = _field(verify, "lfd.verify", "n", 50000, 2)
     out = _out_dir(cfg, args)
     method = section.get("method", "analytic")
     if method == "analytic":
@@ -175,15 +180,14 @@ def cmd_lfd(cfg, args):
             },
             os.path.join(out, "lfd_report.json"),
         )
-    verify = section.get("verify")
     if verify:
         stream = _seed_stream(cfg, args)
-        basis = [_named_model(table, n, "lfd.verify") for n in verify["basis_inf"]] \
-            if "basis_inf" in verify else None
-        if basis is None:
+        if "basis_inf" in verify:
+            basis = [_named_model(table, n, "lfd.verify") for n in verify["basis_inf"]]
+        else:
             basis = [Gaussian(v, np.asarray(section["cov"], float))
                      for v in np.asarray(section["pre_vertices"], float)]
-        rep = verify_drift_condition(basis, pair, int(verify.get("n", 50000)),
+        rep = verify_drift_condition(basis, pair.q_inf, pair.q_post, verify_n,
                                      stream.substream(9).generator())
         for row in rep.rows:
             print(
@@ -195,23 +199,26 @@ def cmd_lfd(cfg, args):
 
 
 def cmd_calibrate(cfg, args):
-    section = _require(cfg, "calibrate", "top level")
+    section = _object(_require(cfg, "calibrate", "top level"), "calibrate")
     table = _models_table(cfg)
     out = _out_dir(cfg, args)
     stream = _seed_stream(cfg, args)
     p_inf = _named_model(table, _require(section, "p_inf", "calibrate"), "calibrate")
     if "pair_file" in section:
-        pair = load_lfd_pair(_read_json(section["pair_file"], "calibrate.pair_file"))
+        try:
+            pair = load_lfd_pair(_read_json(section["pair_file"], "calibrate.pair_file"))
+        except KeyError as exc:
+            raise ConfigError(f"calibrate.pair_file is missing {exc}") from None
         q_inf, q_post = pair.q_inf, pair.q_post
     else:
-        names = _require(section, "pair", "calibrate")
+        names = _object(_require(section, "pair", "calibrate"), "calibrate.pair")
         q_inf, q_post = (
             _named_model(table, _require(names, key, "calibrate.pair"), "calibrate.pair")
             for key in ("q_inf", "q_post"))
     sol = solve_rho_star(
-        p_inf, q_inf, q_post, int(section.get("n", 200000)),
+        p_inf, q_inf, q_post, _field(section, "calibrate", "n", 200000, 2),
         stream.substream(1).generator(),
-        tol=float(section.get("tol", 0.01)),
+        tol=_field(section, "calibrate", "tol", 0.01, 0, float),
         method=section.get("method", "monte_carlo"),
     )
     gammas = section.get("gammas", [])
@@ -230,7 +237,7 @@ def cmd_calibrate(cfg, args):
 
 def _bench_trial(table, trial, i):
     """A bench trial's models, sizes and thresholds, checked before any trial runs."""
-    name = _require(trial, "name", "bench.trials")
+    name = _require(_object(trial, f"bench.trials[{i}]"), "name", "bench.trials")
     detector = _detector_from(table, _require(trial, "detector", name), name)
     laws = [_named_model(table, _require(trial, key, name), name) for key in ("p_inf", "p_post")]
     sizes = {key: _field(trial, f"bench.trials[{i}]", key, default, 2 if key == "drift_n" else 1)
@@ -244,7 +251,7 @@ def _bench_trial(table, trial, i):
 
 
 def cmd_bench(cfg, args):
-    section = _require(cfg, "bench", "top level")
+    section = _object(_require(cfg, "bench", "top level"), "bench")
     table = _models_table(cfg)
     trials = [_bench_trial(table, trial, i)
               for i, trial in enumerate(_require(section, "trials", "bench"))]
@@ -289,11 +296,10 @@ def _parse_stream(handle):
 
 
 def cmd_detect(cfg, args):
-    section = _require(cfg, "detect", "top level")
+    section = _object(_require(cfg, "detect", "top level"), "detect")
     table = _models_table(cfg)
-    detector = _detector_from(table, _require(section, "detector", "detect"),
-                              "detect", omega=section["detector"].get("omega"))
-    cap = int(section.get("cap", 10**9))
+    detector = _detector_from(table, _require(section, "detector", "detect"), "detect")
+    cap = _field(section, "detect", "cap", 10**9, 1)
     state = DetectorState()
     handle = _open(args.input, "detect --input") if args.input else sys.stdin
     try:
@@ -317,7 +323,7 @@ def cmd_detect(cfg, args):
 
 
 def cmd_sample(cfg, args):
-    section = _require(cfg, "sample", "top level")
+    section = _object(_require(cfg, "sample", "top level"), "sample")
     table = _models_table(cfg)
     model = _named_model(table, _require(section, "model", "sample"), "sample")
     n = _field(section, "sample", "n", _require(section, "n", "sample"), 1)

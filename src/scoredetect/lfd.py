@@ -45,6 +45,7 @@ __all__ = [
 _ENUM_LIMIT = 8          # active-set enumeration up to this many vertices
 _CONV_TOL = 1e-12        # stop when squared-distance improvement drops below
 _DISJOINT_TOL = 1e-10    # hulls closer than this (V-norm) are treated as overlapping
+_CLIP_NORM = 10.0        # SGD gradient-norm clip, per network and step
 
 
 class DisjointnessError(ValueError):
@@ -103,12 +104,7 @@ def _project_onto_hull(verts: np.ndarray, y: np.ndarray):
     at vertices keep exact one-hot weights.  Larger vertex sets fall back
     to projected gradient descent on the simplex.
     """
-    k = verts.shape[0]
-    if k == 1:
-        w = np.ones(1)
-        diff = verts[0] - y
-        return verts[0], w, float(diff @ diff)
-    if k <= _ENUM_LIMIT:
+    if verts.shape[0] <= _ENUM_LIMIT:
         return _project_enumerate(verts, y)
     return _project_gradient(verts, y)
 
@@ -119,28 +115,25 @@ def _project_enumerate(verts, y):
     order = sorted(range(1, 2 ** k), key=lambda m: bin(m).count("1"))
     for mask in order:
         idx = [i for i in range(k) if mask >> i & 1]
-        if len(idx) == 1:
-            w_sub = np.ones(1)
-            point = verts[idx[0]]
-        else:
-            sub = verts[idx]
-            gram = sub @ sub.T
-            size = len(idx)
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * gram
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.concatenate([2.0 * (sub @ y), [1.0]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue  # degenerate face; its optimum lives on a sub-face
-            w_sub = sol[:size]
-            if w_sub.min() < -1e-12:
-                continue
-            w_sub = np.clip(w_sub, 0.0, None)
-            w_sub = w_sub / w_sub.sum()
-            point = w_sub @ sub
+        sub = verts[idx]
+        gram = sub @ sub.T
+        size = len(idx)
+        kkt = np.zeros((size + 1, size + 1))
+        kkt[:size, :size] = 2.0 * gram
+        kkt[:size, size] = 1.0
+        kkt[size, :size] = 1.0
+        rhs = np.concatenate([2.0 * (sub @ y), [1.0]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            continue  # degenerate face; its optimum lives on a sub-face
+        w_sub = sol[:size]
+        if w_sub.min() < -1e-12:
+            continue
+        # normalizing makes a vertex's lone weight exactly 1, so the point is the vertex
+        w_sub = np.clip(w_sub, 0.0, None)
+        w_sub = w_sub / w_sub.sum()
+        point = w_sub @ sub
         diff = point - y
         d2 = float(diff @ diff)
         # strict-improvement margin keeps exact vertex solutions from being
@@ -163,13 +156,13 @@ def _project_simplex(w):
     return np.maximum(w - theta, 0.0)
 
 
-def _project_gradient(verts, y, max_iter=20000):
+def _project_gradient(verts, y):
     gram = verts @ verts.T
     lin = verts @ y
     lip = 2.0 * float(np.linalg.norm(gram, 2))
     w = np.full(verts.shape[0], 1.0 / verts.shape[0])
     prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(20000):
         grad = 2.0 * (gram @ w - lin)
         w = _project_simplex(w - grad / lip)
         cur = float(w @ gram @ w - 2.0 * w @ lin)
@@ -181,16 +174,13 @@ def _project_gradient(verts, y, max_iter=20000):
     return point, w, float(diff @ diff)
 
 
-def _nearest_hull_points(a_verts, b_verts, start_weights=None):
-    """Alternating exact projections between two hulls.
+def _nearest_hull_points(a_verts, b_verts, w_a):
+    """Alternating exact projections between two hulls, starting from the
+    point with weights ``w_a`` on the first.
 
     Returns ``(w_a, w_b, sq_distance)``; converged when the squared
     distance improves by less than ``_CONV_TOL``.
     """
-    if start_weights is None:
-        w_a = np.full(a_verts.shape[0], 1.0 / a_verts.shape[0])
-    else:
-        w_a = np.asarray(start_weights, dtype=float)
     point_a = w_a @ a_verts
     prev = math.inf
     w_b = None
@@ -222,7 +212,7 @@ def gaussian_polytope_lfd(family_inf: MeanPolytope, family_post: MeanPolytope) -
     vinv = Gaussian(np.zeros(family_inf.dim), cov).cov_inv
     ta = family_inf.vertices @ vinv  # vinv is symmetric
     tb = family_post.vertices @ vinv
-    w_a, w_b, d2 = _nearest_hull_points(ta, tb)
+    w_a, w_b, d2 = _nearest_hull_points(ta, tb, np.full(ta.shape[0], 1.0 / ta.shape[0]))
     if math.sqrt(max(d2, 0.0)) < _DISJOINT_TOL:
         raise DisjointnessError(
             "mean polytopes are not disjoint: V-norm distance "
@@ -232,7 +222,7 @@ def gaussian_polytope_lfd(family_inf: MeanPolytope, family_post: MeanPolytope) -
     gen = np.random.default_rng(np.random.SeedSequence(20_08_14))
     for _ in range(4):
         start = gen.dirichlet(np.ones(ta.shape[0]))
-        ra, rb, rd2 = _nearest_hull_points(ta, tb, start_weights=start)
+        ra, rb, rd2 = _nearest_hull_points(ta, tb, start)
         if rd2 < d2 - 1e-9 * (1.0 + d2):
             w_a, w_b, d2 = ra, rb, rd2  # defensive; enumeration is exact per face
         elif abs(rd2 - d2) <= 1e-9 * (1.0 + d2):
@@ -283,7 +273,7 @@ class DriftConditionReport:
         return "INCONCLUSIVE"
 
 
-def verify_drift_condition(basis_inf, pair: LfdPair, n: int, rng) -> DriftConditionReport:
+def verify_drift_condition(basis_inf, q_inf, q_post, n: int, rng) -> DriftConditionReport:
     """Check ``D_F(P || q_inf) < D_F(P || q_post)`` for every pre-change basis
     member ``P``, which is what makes the detector's pre-change drift negative
     across the whole class.
@@ -300,8 +290,8 @@ def verify_drift_condition(basis_inf, pair: LfdPair, n: int, rng) -> DriftCondit
     for i, p in enumerate(basis_inf):
         draws = p.sample(n, gen)
         s_p = np.asarray(p.score(draws))
-        t_inf = 0.5 * np.sum((s_p - np.asarray(pair.q_inf.score(draws))) ** 2, axis=-1)
-        t_post = 0.5 * np.sum((s_p - np.asarray(pair.q_post.score(draws))) ** 2, axis=-1)
+        t_inf = 0.5 * np.sum((s_p - np.asarray(q_inf.score(draws))) ** 2, axis=-1)
+        t_post = 0.5 * np.sum((s_p - np.asarray(q_post.score(draws))) ** 2, axis=-1)
         gap_vals = t_inf - t_post
         gap = float(gap_vals.mean())
         gap_se = float(gap_vals.std(ddof=1) / math.sqrt(n))
@@ -462,9 +452,9 @@ def loss_and_grads(net_inf: BetaNetwork, net_post: BetaNetwork, x, s_inf, s_post
     return loss, grads["inf"], grads["post"]
 
 
-def _sgd_step(net: BetaNetwork, grads, lr: float, clip: float) -> None:
+def _sgd_step(net: BetaNetwork, grads, lr: float) -> None:
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    scale = lr * min(1.0, clip / total) if total > 0 else lr
+    scale = lr * min(1.0, _CLIP_NORM / total) if total > 0 else lr
     net.w1 -= scale * grads[0]
     net.b1 -= scale * grads[1]
     net.w2 -= scale * grads[2]
@@ -481,7 +471,6 @@ class TrainConfig:
     langevin: LangevinConfig = field(default_factory=LangevinConfig)
     particle_count: int = 10000
     minibatch: int = 256
-    clip_norm: float = 10.0
     init_basis: int = 0
     hidden: int = 5
     holdout: int = 1000
@@ -491,8 +480,8 @@ class TrainConfig:
             raise TypeError("TrainConfig.rng must be an RngStream")
         if self.epochs < 1 or self.particle_count < 2 or self.minibatch < 1:
             raise ValueError("epochs >= 1, particle_count >= 2, minibatch >= 1 required")
-        if self.learning_rate <= 0 or self.clip_norm <= 0 or self.holdout < 2:
-            raise ValueError("learning_rate, clip_norm > 0 and holdout >= 2 required")
+        if self.learning_rate <= 0 or self.holdout < 2:
+            raise ValueError("learning_rate > 0 and holdout >= 2 required")
 
 
 @dataclass(frozen=True)
@@ -540,8 +529,8 @@ def train_beta_networks(basis_inf, basis_post, cfg: TrainConfig):
     net_post = BetaNetwork.initialize(dim, len(basis_post), gen_nets, hidden=cfg.hidden)
     mixture_post = ScoreMixture(basis_post, net_post)  # live view of net_post
 
-    particles = basis_post[cfg.init_basis].sample(cfg.particle_count, gen_particles)
-    particles = np.asarray(particles, dtype=float)
+    init = basis_post[cfg.init_basis]
+    particles = np.asarray(init.sample(cfg.particle_count, gen_particles), dtype=float)
 
     history = []
     for _ in range(cfg.epochs):
@@ -554,8 +543,8 @@ def train_beta_networks(basis_inf, basis_post, cfg: TrainConfig):
                 net_inf, net_post, xb, _basis_scores(basis_inf, xb),
                 _basis_scores(basis_post, xb),
             )
-            _sgd_step(net_inf, g_inf, cfg.learning_rate, cfg.clip_norm)
-            _sgd_step(net_post, g_post, cfg.learning_rate, cfg.clip_norm)
+            _sgd_step(net_inf, g_inf, cfg.learning_rate)
+            _sgd_step(net_post, g_post, cfg.learning_rate)
             epoch_loss += loss * len(idx)
         epoch_loss /= cfg.particle_count
         if not math.isfinite(epoch_loss):
@@ -563,28 +552,25 @@ def train_beta_networks(basis_inf, basis_post, cfg: TrainConfig):
                 "training loss became non-finite; lower the learning rate"
             )
         history.append(epoch_loss)
-        langevin_chain(mixture_post, particles, cfg.langevin, gen_langevin)
+        particles = langevin_chain(mixture_post, particles, cfg.langevin, gen_langevin)
 
-    holdout = np.asarray(
-        basis_post[cfg.init_basis].sample(cfg.holdout, gen_holdout), dtype=float
-    )
+    holdout = init.sample(cfg.holdout, gen_holdout)
     holdout = langevin_chain(mixture_post, holdout, cfg.langevin, gen_holdout)
-    delta = np.einsum("bm,bmd->bd", net_post(holdout), _basis_scores(basis_post, holdout)) \
-        - np.einsum("bm,bmd->bd", net_inf(holdout), _basis_scores(basis_inf, holdout))
+    beta_inf, beta_post = net_inf(holdout), net_post(holdout)
+    delta = np.einsum("bm,bmd->bd", beta_post, _basis_scores(basis_post, holdout)) \
+        - np.einsum("bm,bmd->bd", beta_inf, _basis_scores(basis_inf, holdout))
     t = 0.5 * np.sum(delta * delta, axis=-1)
-    gap = float(t.mean())
-    gap_se = float(t.std(ddof=1) / math.sqrt(t.size))
 
     pair = LfdPair(
         q_inf=ScoreMixture(basis_inf, net_inf),
-        q_post=ScoreMixture(basis_post, net_post),
-        fisher_gap=gap,
+        q_post=mixture_post,
+        fisher_gap=float(t.mean()),
         provenance="learned",
-        fisher_gap_stderr=gap_se,
+        fisher_gap_stderr=float(t.std(ddof=1) / math.sqrt(t.size)),
     )
     report = TrainReport(
-        avg_beta_inf=net_inf(holdout).mean(axis=0),
-        avg_beta_post=net_post(holdout).mean(axis=0),
+        avg_beta_inf=beta_inf.mean(axis=0),
+        avg_beta_post=beta_post.mean(axis=0),
         loss_history=tuple(history),
         holdout_count=cfg.holdout,
     )

@@ -289,8 +289,8 @@ class Gbrbm(ScoreModel):
     def log_density(self, x):
         return -self.energy(x)
 
-    def sample(self, n, rng, burn_in=1000, thin=10, chains=64):
-        return gibbs_gbrbm(self, n, burn_in=burn_in, thin=thin, rng=rng, chains=chains)
+    def sample(self, n, rng, burn_in=1000, thin=10):
+        return gibbs_gbrbm(self, n, burn_in=burn_in, thin=thin, rng=rng)
 
     def to_dict(self):
         return {
@@ -311,7 +311,7 @@ class ScoreMixture(ScoreModel):
     ``div(sum_k beta_k s_k) = sum_k (beta_k lap_k + grad beta_k . s_k)``.
     """
 
-    def __init__(self, basis, beta, langevin=None, init_basis=0):
+    def __init__(self, basis, beta):
         basis = tuple(basis)
         if len(basis) < 1:
             raise ModelError("score mixture needs at least one basis member")
@@ -333,10 +333,6 @@ class ScoreMixture(ScoreModel):
                 raise ModelError("constant beta must lie on the simplex")
             self.beta = None
             self._const_beta = np.clip(beta, 0.0, None)
-        self.langevin = langevin if langevin is not None else LangevinConfig()
-        self.init_basis = int(init_basis)
-        if not 0 <= self.init_basis < len(basis):
-            raise ModelError("init_basis out of range")
 
     def _checked_weights(self, x, w):
         w = np.asarray(w, dtype=float)
@@ -346,16 +342,11 @@ class ScoreMixture(ScoreModel):
             raise ModelError("beta callable left the simplex")
         return w
 
-    def beta_weights(self, x):
-        x = self._points(x)
-        if self._const_beta is not None:
-            return np.broadcast_to(self._const_beta, x.shape[:-1] + (len(self.basis),))
-        return self._checked_weights(x, self.beta(x))
-
     def score(self, x):
         x = self._points(x)
         s = np.stack([b.score(x) for b in self.basis], axis=-2)
-        return np.sum(self.beta_weights(x)[..., None] * s, axis=-2)
+        w = self._const_beta if self.beta is None else self._checked_weights(x, self.beta(x))
+        return np.sum(w[..., None] * s, axis=-2)
 
     def _score_and_laplacian(self, x):
         # each member's kernel runs once, filling its slot of the stacked arrays
@@ -373,12 +364,11 @@ class ScoreMixture(ScoreModel):
             grad_term = np.sum(jac * s, axis=(-2, -1))
         return np.sum(w[..., None] * s, axis=-2), np.sum(w * lap, axis=-1) + grad_term
 
-    def sample(self, n, rng, refresh=None):
+    def sample(self, n, rng):
         """Draw via the first basis member's sampler, then Langevin-refresh
-        the particles toward this mixture's law (init member configurable)."""
+        the particles toward this mixture's law with ``LangevinConfig()``."""
         gen = as_generator(rng)
-        init = self.basis[self.init_basis].sample(n, gen)
-        return langevin_chain(self, init, refresh or self.langevin, gen)
+        return langevin_chain(self, self.basis[0].sample(n, gen), LangevinConfig(), gen)
 
     def to_dict(self):
         if self._const_beta is not None:

@@ -16,6 +16,8 @@ from .rngs import as_generator
 
 __all__ = ["LangevinConfig", "gibbs_gbrbm", "langevin_chain"]
 
+_GIBBS_CHAINS = 64  # lockstep Gibbs chains; part of the determinism contract
+
 
 @dataclass(frozen=True)
 class LangevinConfig:
@@ -37,13 +39,12 @@ def _sigmoid(t):
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-def gibbs_gbrbm(model, n: int, burn_in: int = 1000, thin: int = 10, rng=None,
-                chains: int = 64) -> np.ndarray:
+def gibbs_gbrbm(model, n: int, burn_in: int = 1000, thin: int = 10, rng=None) -> np.ndarray:
     """Block Gibbs sampler for a Gauss-Bernoulli RBM.
 
     Alternates ``h ~ Bernoulli(sigmoid(W'x + c))`` and
     ``x ~ N(b + W h, I)``, which leaves the model's visible marginal
-    invariant.  ``chains`` independent chains run in lockstep; every
+    invariant.  ``min(64, n)`` independent chains run in lockstep; every
     ``thin``-th state after ``burn_in`` is kept and the per-chain draws are
     concatenated in chain order, so results are reproducible for a fixed
     stream regardless of how the caller schedules work.
@@ -57,7 +58,7 @@ def gibbs_gbrbm(model, n: int, burn_in: int = 1000, thin: int = 10, rng=None,
     vis_bias = model.visible_bias
     hid_bias = model.hidden_bias
     n_vis = vis_bias.size
-    chains = max(1, min(int(chains), n))
+    chains = min(_GIBBS_CHAINS, n)
     keep = -(-n // chains)  # ceil division
     x = vis_bias + gen.standard_normal((chains, n_vis))
     kept = np.empty((chains, keep, n_vis))

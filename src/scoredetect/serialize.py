@@ -88,11 +88,7 @@ def dump_rho_solution(sol: RhoSolution) -> dict:
     }
 
 
-def write_json(obj: dict, fp) -> None:
+def write_json(obj: dict, path) -> None:
     """Stable JSON output: sorted keys, fixed separators, LF newline."""
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if hasattr(fp, "write"):
-        fp.write(text + "\n")
-    else:
-        with open(fp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -62,6 +62,31 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ([1], "config"), ({"version": 1, "models": [], "lfd": {}}, "models"),
+    ({"version": 1, "lfd": 5}, "lfd"),
+])
+def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, payload, field):
+    path = write_config(tmp_path, payload)
+    assert main(["--config", path, "--seed", "1", "--out", str(tmp_path / "out"), "lfd"]) == 2
+    assert f"{field} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, field", [
+    ("calibrate", [1], "calibrate"),
+    ("calibrate", {"p_inf": "inf_a", "pair": ["inf_a", "post_a"]}, "calibrate.pair"),
+    ("bench", {"trials": [5]}, "bench.trials[0]"),
+    ("bench", {"trials": [{"name": "t", "detector": 5}]}, "t.detector"),
+    ("detect", "x", "detect"),
+    ("detect", {"detector": [1]}, "detect.detector"),
+    ("sample", None, "sample"),
+])
+def test_section_of_the_wrong_shape_names_it(tmp_path, capsys, command, section, field):
+    path = write_config(tmp_path, base_config(**{command: section}))
+    assert main(["--config", path, "--seed", "1", "--out", str(tmp_path), command]) == 2
+    assert f"{field} must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_model_reference(tmp_path, capsys):
     cfg = base_config(sample={"model": "nope", "n": 5})
     path = write_config(tmp_path, cfg)
@@ -116,6 +141,21 @@ def learned_section(with_seed=True):
     if with_seed:
         cfg["seed"] = 23
     return cfg
+
+
+@pytest.mark.parametrize("verify, message", [
+    ({"n": "many"}, "lfd.verify.n"), ({"n": 1}, "lfd.verify.n"), ({"n": 2.5}, "lfd.verify.n"),
+    ([1], "lfd.verify must be a JSON object"),
+])
+def test_lfd_names_a_bad_verify_field(tmp_path, capsys, verify, message):
+    cfg = base_config(lfd={"method": "analytic", "cov": COV,
+                           "pre_vertices": [list(MEAN_INF_A)], "post_vertices": [list(MEAN_POST_A)],
+                           "verify": verify})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seed", "11", "--out", str(out), "lfd"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "lfd.json").exists()
 
 
 def test_lfd_learned_quick(tmp_path, capsys):
@@ -227,7 +267,9 @@ def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, message", [(None, "cannot read"),
-                                              ("{not json", "not valid JSON")])
+                                              ("{not json", "not valid JSON"),
+                                              ("[]", "must be a JSON object"),
+                                              ('{"q_post": {}}', "missing 'q_inf'")])
 def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, message):
     pair_file = tmp_path / "lfd.json"
     if content is not None:
@@ -238,6 +280,16 @@ def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, mess
     assert main(["--config", path, "--seed", "9", "--out", str(out), "calibrate"]) == 2
     err = capsys.readouterr().err
     assert "calibrate.pair_file" in err and message in err
+    assert not (out / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n", "many"), ("n", 1), ("n", 2.5), ("tol", 0),
+                                        ("tol", "x"), ("tol", float("inf"))])
+def test_calibrate_names_the_bad_field(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, calibrate_config(**{key: value}))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seed", "9", "--out", str(out), "calibrate"]) == 2
+    assert f"calibrate.{key}" in capsys.readouterr().err
     assert not (out / "calibration.json").exists()
 
 
@@ -368,6 +420,28 @@ def test_detect_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2.42,2.42\n" * 6))
     assert main(["--config", path, "detect"]) == 0
     assert capsys.readouterr().out.startswith("stopped_at=6")
+
+
+def test_detect_cap_bounds_the_observations_read(tmp_path, capsys):
+    cfg = detect_config(omega=100.0)
+    cfg["detect"]["cap"] = 2
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("2.42 2.42\n" * 4)
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 0
+    assert capsys.readouterr().out.startswith("stopped_at=none steps=2 statistic=1")
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.9, "10", True])
+def test_detect_names_a_bad_cap(tmp_path, capsys, cap):
+    cfg = detect_config()
+    cfg["detect"]["cap"] = cap
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("2.42 2.42\n" * 4)
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 2
+    captured = capsys.readouterr()
+    assert "detect.cap" in captured.err and captured.out == ""
 
 
 def test_detect_names_a_missing_input_file(tmp_path, capsys):

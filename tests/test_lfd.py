@@ -119,7 +119,8 @@ def test_lfd_pair_validation(inf_a, post_a):
 def test_drift_condition_reference_geometry(families, inf_a, inf_b):
     pre, post = families
     pair = gaussian_polytope_lfd(pre, post)
-    report = verify_drift_condition([inf_a, inf_b], pair, 50000, RngStream(702))
+    report = verify_drift_condition([inf_a, inf_b], pair.q_inf, pair.q_post, 50000,
+                                    RngStream(702))
     assert report.verdict == "PASS"
     # shared covariance means the score differences are constant, so the
     # Monte Carlo gaps are exact up to rounding
@@ -132,8 +133,7 @@ def test_drift_condition_reference_geometry(families, inf_a, inf_b):
 
 
 def test_drift_condition_fails_on_an_identical_pair(inf_a, inf_b, post_a):
-    fake = LfdPair(post_a, post_a, fisher_gap=1.0, provenance="analytic")
-    report = verify_drift_condition([inf_a, inf_b], fake, 1000, RngStream(703))
+    report = verify_drift_condition([inf_a, inf_b], post_a, post_a, 1000, RngStream(703))
     assert report.verdict == "FAIL"
     assert all(row.gap == 0.0 and row.gap_stderr == 0.0 for row in report.rows)
 
@@ -144,8 +144,7 @@ def test_drift_condition_inconclusive_when_underpowered(inf_a):
     # separate them
     q_inf = Gaussian([0.25, 0.25], 1.3 * V_REF)
     q_post = Gaussian([-0.75, -0.75], 1.3 * V_REF)
-    pair = LfdPair(q_inf, q_post, fisher_gap=1.0, provenance="analytic")
-    report = verify_drift_condition([inf_a], pair, 50, RngStream(704))
+    report = verify_drift_condition([inf_a], q_inf, q_post, 50, RngStream(704))
     assert report.verdict == "INCONCLUSIVE"
     assert report.rows[0].gap_stderr > 0.0
 

