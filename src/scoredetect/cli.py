@@ -52,19 +52,30 @@ def _object(value, name):
     return value
 
 
-def _field(section, context, key, default, low, kind=int):
-    """``section[key]`` (or ``default``) as an integer of at least ``low``, or with
-    ``kind=float`` a finite number above it; else a ConfigError naming ``context.key``."""
-    value = section.get(key, default)
+def _array(value, name):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _number(value, name, low, kind=int, closed=False):
+    """``value`` as an integer of at least ``low``, or with ``kind=float`` a finite
+    number above it (at least it if ``closed``); else a ConfigError naming ``name``."""
+    closed = closed or kind is int
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = float("nan")
     if isinstance(value, bool) or number != value or not (
-            low < number < float("inf") if kind is float else number >= low):
-        need = "a finite number above" if kind is float else "an integer of at least"
-        raise ConfigError(f"{context}.{key} must be {need} {low}, got {value!r}")
+            (low <= number if closed else low < number) and number < float("inf")):
+        need = ("an integer" if kind is int else "a finite number") + (" of at least" if closed else " above")
+        raise ConfigError(f"{name} must be {need} {low}, got {value!r}")
     return number
+
+
+def _field(section, context, key, default, low, kind=int, closed=False):
+    """``section[key]`` (or ``default``) checked by :func:`_number` as ``context.key``."""
+    return _number(section.get(key, default), f"{context}.{key}", low, kind, closed)
 
 
 def _open(path, name):
@@ -99,16 +110,21 @@ def _models_table(cfg):
 
 
 def _named_model(table, name, context):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ConfigError(f"config section '{context}' references unknown model '{name}'")
     return table[name]
+
+
+def _named_models(table, section, key, context):
+    names = _array(_require(section, key, context), f"{context}.{key}")
+    return [_named_model(table, name, f"{context}.{key}") for name in names]
 
 
 def _seed_stream(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("an explicit seed is required (--seed or a 'seed' config entry)")
-    return RngStream(int(seed))
+    return RngStream(_number(seed, "seed", 0))
 
 
 def _out_dir(cfg, args):
@@ -121,8 +137,9 @@ def _detector_from(table, desc, context):
     desc = _object(desc, f"{context}.detector")
     models = (_named_model(table, _require(desc, key, context), context)
               for key in ("model_inf", "model_post"))
-    return DetectorConfig(*models, omega=float(desc.get("omega", 0.0)),
-                          rho=float(desc.get("rho", 1.0)))
+    return DetectorConfig(*models,
+                          omega=_field(desc, f"{context}.detector", "omega", 0.0, 0, float, True),
+                          rho=_field(desc, f"{context}.detector", "rho", 1.0, 0, float))
 
 
 def cmd_lfd(cfg, args):
@@ -130,18 +147,23 @@ def cmd_lfd(cfg, args):
     table = _models_table(cfg)
     verify = _object(section.get("verify") or {}, "lfd.verify")
     verify_n = _field(verify, "lfd.verify", "n", 50000, 2)
-    out = _out_dir(cfg, args)
     method = section.get("method", "analytic")
+    verify_basis = None  # an analytic pair is checked against its pre-change vertices
+    if "basis_inf" in verify or (verify and method == "learned"):
+        verify_basis = _named_models(table, verify, "basis_inf", "lfd.verify")
+    stream = _seed_stream(cfg, args) if verify or method == "learned" else None
+    out = _out_dir(cfg, args)
     if method == "analytic":
         cov = np.asarray(_require(section, "cov", "lfd"), float)
         pre = MeanPolytope(np.asarray(_require(section, "pre_vertices", "lfd"), float), cov)
         post = MeanPolytope(np.asarray(_require(section, "post_vertices", "lfd"), float), cov)
         pair = gaussian_polytope_lfd(pre, post)
         report = None
+        if verify and verify_basis is None:
+            verify_basis = [Gaussian(v, cov) for v in pre.vertices]
     elif method == "learned":
-        stream = _seed_stream(cfg, args)
-        basis_inf = [_named_model(table, n, "lfd.basis_inf") for n in _require(section, "basis_inf", "lfd")]
-        basis_post = [_named_model(table, n, "lfd.basis_post") for n in _require(section, "basis_post", "lfd")]
+        basis_inf = _named_models(table, section, "basis_inf", "lfd")
+        basis_post = _named_models(table, section, "basis_post", "lfd")
         train = section.get("train", {})
         lang = train.get("langevin", {}) if isinstance(train, dict) else None
         if not isinstance(lang, dict):
@@ -181,13 +203,7 @@ def cmd_lfd(cfg, args):
             os.path.join(out, "lfd_report.json"),
         )
     if verify:
-        stream = _seed_stream(cfg, args)
-        if "basis_inf" in verify:
-            basis = [_named_model(table, n, "lfd.verify") for n in verify["basis_inf"]]
-        else:
-            basis = [Gaussian(v, np.asarray(section["cov"], float))
-                     for v in np.asarray(section["pre_vertices"], float)]
-        rep = verify_drift_condition(basis, pair.q_inf, pair.q_post, verify_n,
+        rep = verify_drift_condition(verify_basis, pair.q_inf, pair.q_post, verify_n,
                                      stream.substream(9).generator())
         for row in rep.rows:
             print(
@@ -209,23 +225,23 @@ def cmd_calibrate(cfg, args):
             pair = load_lfd_pair(_read_json(section["pair_file"], "calibrate.pair_file"))
         except KeyError as exc:
             raise ConfigError(f"calibrate.pair_file is missing {exc}") from None
+        except ModelError as exc:
+            raise ConfigError(f"calibrate.pair_file: {exc}") from None
         q_inf, q_post = pair.q_inf, pair.q_post
     else:
         names = _object(_require(section, "pair", "calibrate"), "calibrate.pair")
         q_inf, q_post = (
             _named_model(table, _require(names, key, "calibrate.pair"), "calibrate.pair")
             for key in ("q_inf", "q_post"))
+    gammas = [_number(g, f"calibrate.gammas[{i}]", 1, float, True)
+              for i, g in enumerate(_array(section.get("gammas", []), "calibrate.gammas"))]
     sol = solve_rho_star(
         p_inf, q_inf, q_post, _field(section, "calibrate", "n", 200000, 2),
         stream.substream(1).generator(),
         tol=_field(section, "calibrate", "tol", 0.01, 0, float),
         method=section.get("method", "monte_carlo"),
     )
-    gammas = section.get("gammas", [])
-    thresholds = [
-        {"gamma": float(g), "omega": threshold_for_arl(float(g))}
-        for g in gammas
-    ]
+    thresholds = [{"gamma": g, "omega": threshold_for_arl(g)} for g in gammas]
     payload = dump_rho_solution(sol)
     payload["thresholds"] = thresholds
     write_json(payload, os.path.join(out, "calibration.json"))
@@ -245,7 +261,7 @@ def _bench_trial(table, trial, i):
                                   ("cap", 100000))}
     try:  # a trial without thresholds reports its drifts only
         omegas = threshold_grid(trial["omegas"]) if trial.get("omegas") else None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bench.trials[{i}].omegas: {exc}") from None
     return name, detector, *laws, sizes, omegas
 
@@ -254,7 +270,7 @@ def cmd_bench(cfg, args):
     section = _object(_require(cfg, "bench", "top level"), "bench")
     table = _models_table(cfg)
     trials = [_bench_trial(table, trial, i)
-              for i, trial in enumerate(_require(section, "trials", "bench"))]
+              for i, trial in enumerate(_array(_require(section, "trials", "bench"), "bench.trials"))]
     out = _out_dir(cfg, args)
     stream = _seed_stream(cfg, args)
     drift_lines = ["trial,pre_drift,pre_stderr,post_drift,post_stderr"]

@@ -7,9 +7,9 @@ divergence between the pre- and post-change classes:
   means range over polytopes with a shared covariance ``V``.  The pair is
   the nearest pair of hull points under the norm ``||t||_V = sqrt(t'V^-2 t)``,
   equivalently the Euclidean nearest points of the ``V^-1``-transformed
-  hulls, found by alternating exact projections.  Each projection onto a
-  hull is a simplex-constrained least-squares problem solved by active-set
-  enumeration (exact for up to 8 vertices), so optima at vertices are
+  hulls.  Their difference is the min-norm point of the difference
+  polytope ``conv{V^-1 (a_i - b_j)}``, found for any vertex count by one
+  exact active-set solve (Lawson-Hanson NNLS), so optima at vertices are
   returned bit-exactly.
 
 * **Learned** (:func:`train_beta_networks`): finite bases of arbitrary
@@ -42,8 +42,6 @@ __all__ = [
     "train_beta_networks",
 ]
 
-_ENUM_LIMIT = 8          # active-set enumeration up to this many vertices
-_CONV_TOL = 1e-12        # stop when squared-distance improvement drops below
 _DISJOINT_TOL = 1e-10    # hulls closer than this (V-norm) are treated as overlapping
 _CLIP_NORM = 10.0        # SGD gradient-norm clip, per network and step
 
@@ -95,114 +93,60 @@ class LfdPair:
             raise ValueError("fisher_gap must be positive (classes must be separated)")
 
 
-def _project_onto_hull(verts: np.ndarray, y: np.ndarray):
-    """Nearest point to ``y`` in the convex hull of ``verts`` (rows).
+def _min_norm_weights(points: np.ndarray) -> np.ndarray:
+    """Simplex weights ``lam`` that put ``lam @ points`` at the point of the
+    convex hull of ``points`` (rows) nearest the origin.
 
-    Returns ``(point, weights, sq_distance)``.  Up to ``_ENUM_LIMIT``
-    vertices every face is solved exactly via its KKT system and the best
-    feasible solution is kept, visiting faces by increasing size so optima
-    at vertices keep exact one-hot weights.  Larger vertex sets fall back
-    to projected gradient descent on the simplex.
+    Lawson-Hanson NNLS on ``[points'; 1] mu ~ (0, 1)``: for ``mu = t lam``
+    the squared residual ``t^2 r^2 + (t - 1)^2``, ``r = |lam @ points|``, has
+    minimum ``r^2 / (1 + r^2)`` over ``t``, so ``lam = mu / sum(mu)`` is the
+    exact min-norm weighting.  Columns enter one at a time, most violated
+    first (ties to the lowest index), so an optimum at a lone vertex keeps
+    the exact weight 1.
     """
-    if verts.shape[0] <= _ENUM_LIMIT:
-        return _project_enumerate(verts, y)
-    return _project_gradient(verts, y)
-
-
-def _project_enumerate(verts, y):
-    k = verts.shape[0]
-    best = None
-    order = sorted(range(1, 2 ** k), key=lambda m: bin(m).count("1"))
-    for mask in order:
-        idx = [i for i in range(k) if mask >> i & 1]
-        sub = verts[idx]
-        gram = sub @ sub.T
-        size = len(idx)
-        kkt = np.zeros((size + 1, size + 1))
-        kkt[:size, :size] = 2.0 * gram
-        kkt[:size, size] = 1.0
-        kkt[size, :size] = 1.0
-        rhs = np.concatenate([2.0 * (sub @ y), [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            continue  # degenerate face; its optimum lives on a sub-face
-        w_sub = sol[:size]
-        if w_sub.min() < -1e-12:
-            continue
-        # normalizing makes a vertex's lone weight exactly 1, so the point is the vertex
-        w_sub = np.clip(w_sub, 0.0, None)
-        w_sub = w_sub / w_sub.sum()
-        point = w_sub @ sub
-        diff = point - y
-        d2 = float(diff @ diff)
-        # strict-improvement margin keeps exact vertex solutions from being
-        # displaced by an equal-distance interior representation
-        if best is None or d2 < best[2] - 1e-12 * (1.0 + best[2]):
-            w = np.zeros(k)
-            w[idx] = w_sub
-            best = (point, w, d2)
-    return best
-
-
-def _project_simplex(w):
-    # Euclidean projection onto the probability simplex (sort-based)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, w.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(w - theta, 0.0)
-
-
-def _project_gradient(verts, y):
-    gram = verts @ verts.T
-    lin = verts @ y
-    lip = 2.0 * float(np.linalg.norm(gram, 2))
-    w = np.full(verts.shape[0], 1.0 / verts.shape[0])
-    prev = math.inf
-    for _ in range(20000):
-        grad = 2.0 * (gram @ w - lin)
-        w = _project_simplex(w - grad / lip)
-        cur = float(w @ gram @ w - 2.0 * w @ lin)
-        if prev - cur < 1e-15:
-            break
-        prev = cur
-    point = w @ verts
-    diff = point - y
-    return point, w, float(diff @ diff)
-
-
-def _nearest_hull_points(a_verts, b_verts, w_a):
-    """Alternating exact projections between two hulls, starting from the
-    point with weights ``w_a`` on the first.
-
-    Returns ``(w_a, w_b, sq_distance)``; converged when the squared
-    distance improves by less than ``_CONV_TOL``.
-    """
-    point_a = w_a @ a_verts
-    prev = math.inf
-    w_b = None
-    for _ in range(1000):
-        point_b, w_b, _ = _project_onto_hull(b_verts, point_a)
-        point_a, w_a, _ = _project_onto_hull(a_verts, point_b)
-        diff = point_a - point_b
-        d2 = float(diff @ diff)
-        if prev - d2 < _CONV_TOL:
-            break
-        prev = d2
-    return w_a, w_b, d2
+    k, d = points.shape
+    # the weights are scale-free; unit scale keeps the dual vector O(1)
+    scale = float(np.max(np.linalg.norm(points, axis=1))) or 1.0
+    mat = np.vstack([points.T / scale, np.ones(k)])
+    rhs = np.eye(d + 1)[d]
+    tol = 64.0 * np.finfo(float).eps  # a weight this small is rounding, and is dropped
+    mu = np.zeros(k)
+    active = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):  # Lawson and Hanson's iteration bound
+        dual = np.where(active, -np.inf, mat.T @ (rhs - mat @ mu))
+        j = int(np.argmax(dual))
+        # an entering weight is at least half its dual (columns have |c|^2 <= 2),
+        # so a column admitted above 4 tol is never dropped on entry
+        if dual[j] <= 4.0 * tol:
+            return mu / mu.sum()
+        active[j] = True
+        while True:
+            z = np.zeros(k)
+            z[active] = np.linalg.lstsq(mat[:, active], rhs, rcond=None)[0]
+            z = np.where(z > tol, z, np.minimum(z, 0.0))
+            if z[active].min() > 0.0:
+                break
+            # move toward z until the first active weight reaches zero; drop it
+            ratio = np.divide(mu, mu - z, out=np.full(k, np.inf), where=active & (z <= 0.0))
+            drop = int(np.argmin(ratio))
+            mu = np.maximum(mu + ratio[drop] * (z - mu), 0.0)
+            mu[drop] = 0.0
+            active &= mu > 0.0
+        mu = z
+    raise RuntimeError("nearest-pair solve did not converge")
 
 
 def gaussian_polytope_lfd(family_inf: MeanPolytope, family_post: MeanPolytope) -> LfdPair:
     """Least-favorable Gaussian pair for two mean polytopes sharing ``V``.
 
     The minimizing means are the nearest points of the two hulls under the
-    ``V``-norm; when those land on vertices the vertex coordinates are
-    returned exactly.  Raises :class:`DisjointnessError` when the hulls
-    (effectively) intersect and flags non-uniqueness when restarts from
-    perturbed initial points reach a different minimizer of equal distance.
+    ``V``-norm, read off the exact min-norm point of the difference polytope
+    ``conv{V^-1 (a_i - b_j)}`` for any vertex count; when they land on
+    vertices the vertex coordinates are returned exactly.  Raises
+    :class:`DisjointnessError` when the hulls (effectively) intersect.  The
+    min-norm difference is unique but the pair need not be, so the solve is
+    repeated on seeded permutations of the differences and a note is
+    attached when one reaches other means.
     """
     if family_inf.dim != family_post.dim:
         raise ModelError("polytopes must share a dimension")
@@ -210,37 +154,27 @@ def gaussian_polytope_lfd(family_inf: MeanPolytope, family_post: MeanPolytope) -
         raise ModelError("polytopes must share a covariance")
     cov = family_inf.cov
     vinv = Gaussian(np.zeros(family_inf.dim), cov).cov_inv
-    ta = family_inf.vertices @ vinv  # vinv is symmetric
-    tb = family_post.vertices @ vinv
-    w_a, w_b, d2 = _nearest_hull_points(ta, tb, np.full(ta.shape[0], 1.0 / ta.shape[0]))
-    if math.sqrt(max(d2, 0.0)) < _DISJOINT_TOL:
+    va, vb = family_inf.vertices, family_post.vertices
+    ia, ib = np.divmod(np.arange(len(va) * len(vb)), len(vb))
+    pairs = np.hstack([va[ia], vb[ib]])  # the vertex pair behind each difference
+    diffs = (va[ia] - vb[ib]) @ vinv  # vinv is symmetric
+    lam = _min_norm_weights(diffs)
+    dist = float(np.linalg.norm(lam @ diffs))
+    if dist < _DISJOINT_TOL:
         raise DisjointnessError(
             "mean polytopes are not disjoint: V-norm distance "
-            f"{math.sqrt(max(d2, 0.0)):.3e} below {_DISJOINT_TOL:.0e}"
+            f"{dist:.3e} below {_DISJOINT_TOL:.0e}"
         )
-    notes = []
+    means = lam @ pairs
     gen = np.random.default_rng(np.random.SeedSequence(20_08_14))
-    for _ in range(4):
-        start = gen.dirichlet(np.ones(ta.shape[0]))
-        ra, rb, rd2 = _nearest_hull_points(ta, tb, start)
-        if rd2 < d2 - 1e-9 * (1.0 + d2):
-            w_a, w_b, d2 = ra, rb, rd2  # defensive; enumeration is exact per face
-        elif abs(rd2 - d2) <= 1e-9 * (1.0 + d2):
-            moved = max(
-                np.abs(ra @ family_inf.vertices - w_a @ family_inf.vertices).max(),
-                np.abs(rb @ family_post.vertices - w_b @ family_post.vertices).max(),
-            )
-            if moved > 1e-6 and not notes:
-                notes.append(
-                    "least-favorable pair is not unique: restarts reached a"
-                    " different minimizer of equal Fisher gap"
-                )
-    mean_inf = w_a @ family_inf.vertices
-    mean_post = w_b @ family_post.vertices
-    q_inf = Gaussian(mean_inf, cov)
-    q_post = Gaussian(mean_post, cov)
+    restarts = (gen.permutation(lam.size) for _ in range(4))
+    unique = all(np.abs(_min_norm_weights(diffs[p]) @ pairs[p] - means).max() <= 1e-6
+                 for p in restarts)
+    notes = () if unique else ("least-favorable pair is not unique: restarts reached a"
+                               " different minimizer of equal Fisher gap",)
+    q_inf, q_post = (Gaussian(m, cov) for m in np.split(means, 2))
     gap = fisher_gaussian(q_post, q_inf)
-    return LfdPair(q_inf, q_post, gap, "analytic", notes=tuple(notes))
+    return LfdPair(q_inf, q_post, gap, "analytic", notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,21 @@ def dump_lfd_pair(pair: LfdPair) -> dict:
     }
 
 
+def _typed(d, key, kinds, default=None):
+    value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ModelError(f"'{key}' has the wrong type: {value!r}")
+    return value
+
+
 def load_lfd_pair(d: dict) -> LfdPair:
     return LfdPair(
         q_inf=load_model(d["q_inf"]),
         q_post=load_model(d["q_post"]),
-        fisher_gap=float(d["fisher_gap"]),
+        fisher_gap=float(_typed(d, "fisher_gap", (int, float))),
         provenance=d["provenance"],
-        fisher_gap_stderr=float(d.get("fisher_gap_stderr", 0.0)),
-        notes=tuple(d.get("notes", ())),
+        fisher_gap_stderr=float(_typed(d, "fisher_gap_stderr", (int, float), 0.0)),
+        notes=tuple(_typed(d, "notes", list, [])),
     )
 
 

@@ -29,6 +29,14 @@ MODELS = {
 }
 
 
+def pair_json(**overrides):
+    """A valid ``lfd.json`` for the A-vertex pair, with ``overrides``."""
+    pair = {"provenance": "analytic", "fisher_gap": GAP_NEAR,
+            "q_inf": MODELS["inf_a"], "q_post": MODELS["post_a"]}
+    pair.update(overrides)
+    return json.dumps(pair)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -85,6 +93,34 @@ def test_section_of_the_wrong_shape_names_it(tmp_path, capsys, command, section,
     path = write_config(tmp_path, base_config(**{command: section}))
     assert main(["--config", path, "--seed", "1", "--out", str(tmp_path), command]) == 2
     assert f"{field} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, flag", [(1.5, []), (True, []), (-1, []), ("3", []),
+                                        (1, ["--seed", "-1"])])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed, flag):
+    cfg = base_config(sample={"model": "inf_a", "n": 5}, seed=seed)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, *flag, "--out", str(out), "sample"]) == 2
+    assert "seed must be an integer of at least 0" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["bench.trials", "lfd.basis_inf", "lfd.basis_post",
+                                   "lfd.verify.basis_inf", "calibrate.gammas"])
+def test_array_field_of_the_wrong_type_names_it(tmp_path, capsys, field):
+    cfg = learned_section()
+    cfg.update(calibrate=calibrate_config()["calibrate"], bench={})
+    *parents, leaf = field.split(".")
+    section = cfg
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[leaf] = 5
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), parents[0]]) == 2
+    assert f"{field} must be a JSON array, got int" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_unknown_model_reference(tmp_path, capsys):
@@ -171,6 +207,16 @@ def test_lfd_learned_quick(tmp_path, capsys):
     pair = load_lfd_pair(json.loads((out / "lfd.json").read_text()))
     assert isinstance(pair.q_inf, ScoreMixture)
     assert callable(pair.q_inf.beta)
+
+
+def test_lfd_learned_verify_needs_a_basis_before_training(tmp_path, capsys):
+    cfg = learned_section()
+    cfg["lfd"]["verify"] = {"n": 100}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "lfd"]) == 2
+    assert "'lfd.verify' is missing 'basis_inf'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lfd_learned_requires_a_seed(tmp_path, capsys):
@@ -269,7 +315,11 @@ def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [(None, "cannot read"),
                                               ("{not json", "not valid JSON"),
                                               ("[]", "must be a JSON object"),
-                                              ('{"q_post": {}}', "missing 'q_inf'")])
+                                              ('{"q_post": {}}', "missing 'q_inf'"),
+                                              (pair_json(fisher_gap=[]), "'fisher_gap'"),
+                                              (pair_json(fisher_gap_stderr="0"),
+                                               "'fisher_gap_stderr'"),
+                                              (pair_json(notes=5), "'notes'")])
 def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, message):
     pair_file = tmp_path / "lfd.json"
     if content is not None:
@@ -284,7 +334,9 @@ def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, mess
 
 
 @pytest.mark.parametrize("key, value", [("n", "many"), ("n", 1), ("n", 2.5), ("tol", 0),
-                                        ("tol", "x"), ("tol", float("inf"))])
+                                        ("tol", "x"), ("tol", float("inf")), ("gammas", ["x"]),
+                                        ("gammas", [0.5]), ("gammas", [True]),
+                                        ("gammas", [[10]])])
 def test_calibrate_names_the_bad_field(tmp_path, capsys, key, value):
     path = write_config(tmp_path, calibrate_config(**{key: value}))
     out = tmp_path / "out"
@@ -373,7 +425,7 @@ def test_bench_checks_every_trial_before_running_any(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("drift_n", 1), ("omegas", [1.0, 0.5]),
-                                          ("omegas", [-1.0])])
+                                          ("omegas", [-1.0]), ("omegas", {"a": 1.0})])
 def test_bench_names_the_bad_trial_field(tmp_path, capsys, field, value):
     cfg = bench_config()
     cfg["bench"]["trials"][0][field] = value
@@ -442,6 +494,29 @@ def test_detect_names_a_bad_cap(tmp_path, capsys, cap):
     assert main(["--config", path, "detect", "--input", str(stream)]) == 2
     captured = capsys.readouterr()
     assert "detect.cap" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("omega", None), ("omega", -1.0), ("omega", True),
+                                        ("omega", "3"), ("omega", float("inf")), ("rho", 0),
+                                        ("rho", None), ("rho", True), ("rho", float("nan"))])
+def test_detect_names_a_bad_omega_or_rho(tmp_path, capsys, key, value):
+    cfg = detect_config()
+    cfg["detect"]["detector"][key] = value
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("2.42 2.42\n")
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 2
+    captured = capsys.readouterr()
+    assert f"detect.detector.{key} must be a finite number" in captured.err
+    assert captured.out == ""
+
+
+def test_detect_omega_zero_alarms_on_the_first_observation(tmp_path, capsys):
+    path = write_config(tmp_path, detect_config(omega=0))
+    stream = tmp_path / "stream.txt"
+    stream.write_text("2.42 2.42\n" * 3)
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 0
+    assert capsys.readouterr().out.startswith("stopped_at=1 ")
 
 
 def test_detect_names_a_missing_input_file(tmp_path, capsys):

@@ -95,6 +95,62 @@ def test_randomized_optimality_audit():
         assert found <= sampled + 1e-9
 
 
+def test_many_vertex_polytopes_beat_dense_sampling():
+    # more than 8 vertices per side, and hulls in general position
+    gen = RngStream(714).generator()
+    for ka, kb, d in ((12, 9, 3), (20, 16, 2)):
+        a = gen.standard_normal((ka, d))
+        b = gen.standard_normal((kb, d)) + 3.0
+        m = gen.standard_normal((d, d))
+        cov = m @ m.T + d * np.eye(d)
+        pair = gaussian_polytope_lfd(MeanPolytope(a, cov), MeanPolytope(b, cov))
+        assert pair.notes == ()
+        vinv = np.linalg.inv(cov)
+        wa = gen.dirichlet(np.ones(ka), size=4000)
+        wb = gen.dirichlet(np.ones(kb), size=4000)
+        sampled = min(np.linalg.norm((wa @ a - wb @ b) @ vinv, axis=1).min(),
+                      np.linalg.norm((a[:, None] - b[None]) @ vinv, axis=-1).min())
+        found = np.linalg.norm(vinv @ (pair.q_inf.mean - pair.q_post.mean))
+        assert found <= sampled + 1e-9
+
+
+def general_position_problems():
+    """200 random polytope pairs, 1-8 vertices a side, d = 2-4."""
+    g = np.random.default_rng(5)
+    for _ in range(200):
+        ka, kb = g.integers(1, 9), g.integers(1, 9)
+        d = g.integers(2, 5)
+        a = g.standard_normal((ka, d))
+        b = g.standard_normal((kb, d)) + 4
+        m = g.standard_normal((d, d))
+        yield a, b, m @ m.T + d * np.eye(d)
+
+
+def test_nearest_pair_meets_the_min_norm_optimality_condition():
+    # d* is the min-norm point of conv{V^-1 (a_i - b_j)} exactly when
+    # <p - d*, d*> >= 0 for every difference vertex p
+    for a, b, cov in general_position_problems():
+        pair = gaussian_polytope_lfd(MeanPolytope(a, cov), MeanPolytope(b, cov))
+        vinv = np.linalg.inv(cov)
+        gap = vinv @ (pair.q_inf.mean - pair.q_post.mean)
+        diffs = ((a[:, None] - b[None]) @ vinv).reshape(-1, a.shape[1])
+        assert ((diffs - gap) @ gap).min() >= -1e-12 * (1.0 + gap @ gap)
+
+
+def test_general_position_problems_get_no_note():
+    for i, (a, b, cov) in enumerate(general_position_problems()):
+        pair = gaussian_polytope_lfd(MeanPolytope(a, cov), MeanPolytope(b, cov))
+        assert pair.notes == (), i
+
+
+def test_parallel_edges_touching_at_their_ends_have_a_unique_pair():
+    pair = gaussian_polytope_lfd(MeanPolytope([[0.0, 0.0], [0.0, 1.0]], EYE2),
+                                 MeanPolytope([[2.0, 1.0], [2.0, 2.0]], EYE2))
+    assert np.array_equal(pair.q_inf.mean, [0.0, 1.0])
+    assert np.array_equal(pair.q_post.mean, [2.0, 1.0])
+    assert pair.notes == ()
+
+
 def test_mean_polytope_validation():
     with pytest.raises(ModelError):
         MeanPolytope([[0.0, np.inf]], EYE2)
