@@ -15,8 +15,9 @@ average run length ``gamma`` is ``omega = log(gamma)``, giving
 
 ``h`` is estimated by Monte Carlo with common random numbers: the increment
 sample is drawn once and reused for every ``rho``, making the estimate a
-deterministic, exactly convex function of ``rho`` whose root is found by
-geometric bracketing and bisection.
+deterministic, smooth and strictly convex function of ``rho``.  Its root is
+found by geometric expansion to a point where the estimate is positive,
+then Newton steps, which fall monotonically onto the estimate's own root.
 """
 
 import math
@@ -55,13 +56,16 @@ class DriftSignError(RuntimeError):
 @dataclass(frozen=True)
 class RhoSolution:
     """Root-finding outcome.  ``h_curve`` records every evaluated
-    ``(rho, h_hat, stderr)`` triple.  ``degenerate`` marks the case where
-    ``h`` stayed non-positive up to the cap, i.e. every multiplier in range
-    satisfies the false-alarm condition and ``rho_star`` equals the cap."""
+    ``(rho, h_hat, stderr)`` triple.  ``rho_star_stderr`` is the Monte Carlo
+    standard error of ``rho_star`` (``0.0`` for the closed form, ``None``
+    when degenerate).  ``degenerate`` marks the case where ``h`` stayed
+    non-positive up to the cap, i.e. every multiplier in range satisfies the
+    false-alarm condition and ``rho_star`` equals the cap."""
 
     rho_star: float
     h_curve: tuple[tuple[float, float, float], ...]
     method: str
+    rho_star_stderr: float | None = 0.0
     degenerate: bool = False
     message: str = ""
 
@@ -79,30 +83,30 @@ def _draw_increments(p_inf, q_inf, q_post, n: int, rng) -> np.ndarray:
 
 
 def _h_from_increments(z: np.ndarray, rho: float):
-    """``(h_hat, stderr)`` from a fixed increment sample, in log space.
+    """``(h_hat, stderr, slope)`` from a fixed increment sample, in log
+    space: with ``w = exp(rho z - peak)``, the mean of ``exp(rho z)`` is
+    ``exp(peak) mean(w)`` and the slope ``mean(z exp(rho z))`` is that times
+    ``mean(z w) / mean(w)``.
 
     Raises :class:`CalibrationError` when the mean or its second moment
     overflows even after the log-sum-exp reduction, reporting the largest
     exponent encountered.
     """
-    n = z.size
-    if rho == 0.0:
-        return 0.0, 0.0
-    expo = rho * z
-    peak = float(expo.max())
-    log_mean = peak + math.log(float(np.exp(expo - peak).mean()))
-    if log_mean > _LOG_DBL_MAX:
-        raise CalibrationError(
-            f"MGF estimate overflows at rho={rho:g}: max exponent {peak:.6g}"
-        )
-    log_sq_mean = 2.0 * peak + math.log(float(np.exp(2.0 * (expo - peak)).mean()))
+    w = rho * z
+    peak = float(w.max())
+    w -= peak
+    np.exp(w, out=w)
+    mean_w = float(w.mean())
+    log_mean = peak + math.log(mean_w)
+    # the second moment is at least the squared mean, so one check covers both
+    log_sq_mean = 2.0 * peak + math.log(float((w * w).mean()))
     if log_sq_mean > _LOG_DBL_MAX:
         raise CalibrationError(
-            f"MGF variance overflows at rho={rho:g}: max exponent {peak:.6g}"
+            f"MGF estimate or its variance overflows at rho={rho:g}: max exponent {peak:.6g}"
         )
-    h_hat = math.expm1(log_mean)
     var = max(math.exp(log_sq_mean) - math.exp(2.0 * log_mean), 0.0)
-    return h_hat, math.sqrt(var / n)
+    slope = math.exp(log_mean) * float((z * w).mean()) / mean_w
+    return math.expm1(log_mean), math.sqrt(var / z.size), slope
 
 
 def mgf_gap(p_inf, q_inf, q_post, rho: float, n: int, rng):
@@ -114,7 +118,7 @@ def mgf_gap(p_inf, q_inf, q_post, rho: float, n: int, rng):
         raise ValueError("rho must be non-negative")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    return _h_from_increments(_draw_increments(p_inf, q_inf, q_post, n, rng), rho)
+    return _h_from_increments(_draw_increments(p_inf, q_inf, q_post, n, rng), rho)[:2]
 
 
 def _closed_form(p_inf, q_inf, q_post):
@@ -148,19 +152,21 @@ def _closed_form(p_inf, q_inf, q_post):
     return RhoSolution(rho, curve, "closed_form")
 
 
-def solve_rho_star(p_inf, q_inf, q_post, n: int, rng, tol: float = 0.01,
+def solve_rho_star(p_inf, q_inf, q_post, n: int, rng,
                    method: str = "monte_carlo") -> RhoSolution:
     """Find the largest multiplier whose scaled increment satisfies the
     false-alarm condition ``E_inf[exp(rho z)] <= 1``.
 
     The Monte Carlo route draws the increment sample once (common random
     numbers), checks that the empirical drift is negative beyond 3 standard
-    errors, expands ``rho`` geometrically from 1 until the estimate is
-    positive beyond 3 standard errors (cap ``RHO_CAP``), and bisects the
-    sign change to width ``tol``.  Hitting the cap returns a degenerate
-    solution with ``rho_star = RHO_CAP``.  ``method='closed_form'`` uses the
-    shared-covariance Gaussian formula instead; ``'auto'`` prefers the
-    closed form when applicable.
+    errors, and expands ``rho`` geometrically from 1 until the estimate is
+    positive beyond 3 standard errors (cap ``RHO_CAP``).  The estimate is
+    strictly convex, so Newton steps from there fall monotonically onto its
+    root; they stop at the first step that does not lower ``rho``.  The
+    root's standard error is the delta-method ``se(h) / h'`` there.  Hitting
+    the cap returns a degenerate solution with ``rho_star = RHO_CAP``.
+    ``method='closed_form'`` uses the shared-covariance Gaussian formula
+    instead; ``'auto'`` prefers the closed form when applicable.
     """
     if method == "auto":
         try:
@@ -173,8 +179,6 @@ def solve_rho_star(p_inf, q_inf, q_post, n: int, rng, tol: float = 0.01,
         raise ValueError("method must be 'monte_carlo', 'closed_form', or 'auto'")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     z = _draw_increments(p_inf, q_inf, q_post, n, rng)
     drift = float(z.mean())
@@ -188,39 +192,27 @@ def solve_rho_star(p_inf, q_inf, q_post, n: int, rng, tol: float = 0.01,
     curve = []
 
     def h_at(rho):
-        h_hat, se = _h_from_increments(z, rho)
+        h_hat, se, slope = _h_from_increments(z, rho)
         curve.append((rho, h_hat, se))
-        return h_hat, se
+        return h_hat, se, slope
 
-    lo = 0.0  # h(0) = 0 and h' < 0 there, so 0 always brackets from below
     rho = 1.0
-    hi = None
-    while rho <= RHO_CAP:
-        h_hat, se = h_at(rho)
-        if h_hat > 3.0 * se:
-            hi = rho
-            break
-        if h_hat <= 0.0:
-            lo = rho
+    h_hat, se, slope = h_at(rho)
+    while not h_hat > 3.0 * se:
         rho *= 2.0
-    if hi is None:
-        return RhoSolution(
-            RHO_CAP, tuple(curve), "monte_carlo", degenerate=True,
-            message=(
-                "h stayed non-positive up to the cap; every multiplier in "
-                "range satisfies the false-alarm condition"
-            ),
-        )
-    # the common-random-number estimate is exactly convex in rho, so plain
-    # sign bisection converges to its unique positive root
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        h_hat, _ = h_at(mid)
-        if h_hat > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return RhoSolution(0.5 * (lo + hi), tuple(curve), "monte_carlo")
+        if rho > RHO_CAP:
+            return RhoSolution(
+                RHO_CAP, tuple(curve), "monte_carlo", None, degenerate=True,
+                message=(
+                    "h stayed non-positive up to the cap; every multiplier in "
+                    "range satisfies the false-alarm condition"
+                ),
+            )
+        h_hat, se, slope = h_at(rho)
+    while (step := rho - h_hat / slope) < rho:
+        rho = step
+        h_hat, se, slope = h_at(rho)
+    return RhoSolution(rho, tuple(curve), "monte_carlo", se / slope)
 
 
 def threshold_for_arl(gamma: float) -> float:

@@ -117,6 +117,8 @@ def _named_model(table, name, context):
 
 def _named_models(table, section, key, context):
     names = _array(_require(section, key, context), f"{context}.{key}")
+    if not names:
+        raise ConfigError(f"{context}.{key} must name at least one model")
     return [_named_model(table, name, f"{context}.{key}") for name in names]
 
 
@@ -235,17 +237,19 @@ def cmd_calibrate(cfg, args):
             for key in ("q_inf", "q_post"))
     gammas = [_number(g, f"calibrate.gammas[{i}]", 1, float, True)
               for i, g in enumerate(_array(section.get("gammas", []), "calibrate.gammas"))]
-    sol = solve_rho_star(
-        p_inf, q_inf, q_post, _field(section, "calibrate", "n", 200000, 2),
-        stream.substream(1).generator(),
-        tol=_field(section, "calibrate", "tol", 0.01, 0, float),
-        method=section.get("method", "monte_carlo"),
-    )
+    method = section.get("method", "monte_carlo")
+    if method not in ("monte_carlo", "closed_form", "auto"):
+        raise ConfigError("calibrate.method must be 'monte_carlo', 'closed_form' or 'auto',"
+                          f" got {method!r}")
+    sol = solve_rho_star(p_inf, q_inf, q_post, _field(section, "calibrate", "n", 200000, 2),
+                         stream.substream(1).generator(), method=method)
     thresholds = [{"gamma": g, "omega": threshold_for_arl(g)} for g in gammas]
     payload = dump_rho_solution(sol)
     payload["thresholds"] = thresholds
     write_json(payload, os.path.join(out, "calibration.json"))
-    print(f"rho_star={sol.rho_star:.10g} method={sol.method} degenerate={sol.degenerate}")
+    stderr = "none" if sol.rho_star_stderr is None else f"{sol.rho_star_stderr:.3g}"
+    print(f"rho_star={sol.rho_star:.10g} method={sol.method} degenerate={sol.degenerate}"
+          f" rho_star_stderr={stderr}")
     for row in thresholds:
         print(f"gamma={row['gamma']:.10g} omega={row['omega']:.10g}")
     return EXIT_OK

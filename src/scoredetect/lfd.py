@@ -42,7 +42,7 @@ __all__ = [
     "train_beta_networks",
 ]
 
-_DISJOINT_TOL = 1e-10    # hulls closer than this (V-norm) are treated as overlapping
+_DISJOINT_TOL = 1e-10    # hulls closer than this, relative to their largest V^-1 vertex, overlap
 _CLIP_NORM = 10.0        # SGD gradient-norm clip, per network and step
 
 
@@ -160,10 +160,12 @@ def gaussian_polytope_lfd(family_inf: MeanPolytope, family_post: MeanPolytope) -
     diffs = (va[ia] - vb[ib]) @ vinv  # vinv is symmetric
     lam = _min_norm_weights(diffs)
     dist = float(np.linalg.norm(lam @ diffs))
-    if dist < _DISJOINT_TOL:
+    # the rounding error of a difference grows with the vertices it is made from
+    scale = float(np.linalg.norm(np.vstack([va, vb]) @ vinv, axis=1).max())
+    if dist <= _DISJOINT_TOL * scale:
         raise DisjointnessError(
-            "mean polytopes are not disjoint: V-norm distance "
-            f"{dist:.3e} below {_DISJOINT_TOL:.0e}"
+            f"mean polytopes are not disjoint: distance {dist:.3e} is at most"
+            f" {_DISJOINT_TOL:.0e} times the largest V^-1 vertex norm {scale:.3e}"
         )
     means = lam @ pairs
     gen = np.random.default_rng(np.random.SeedSequence(20_08_14))

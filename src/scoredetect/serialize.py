@@ -88,6 +88,7 @@ def load_lfd_pair(d: dict) -> LfdPair:
 def dump_rho_solution(sol: RhoSolution) -> dict:
     return {
         "rho_star": sol.rho_star,
+        "rho_star_stderr": sol.rho_star_stderr,
         "method": sol.method,
         "degenerate": sol.degenerate,
         "message": sol.message,

@@ -8,6 +8,7 @@ from scoredetect import (CalibrationError, DriftSignError, Gaussian,
                          GaussianMixture, RHO_CAP, RhoSolution,
                          RngStream, gaussian_polytope_lfd, mgf_gap,
                          solve_rho_star, threshold_for_arl)
+from scoredetect.calibration import _draw_increments, _h_from_increments
 
 RHO_STAR = 2.2  # -2m/s^2 for the reference geometry
 
@@ -60,6 +61,7 @@ def test_closed_form_recovers_the_exact_multiplier(inf_a, pair):
     assert rhos == (0.5 * sol.rho_star, sol.rho_star, 1.5 * sol.rho_star)
     assert values[0] < 0.0 and values[1] == 0.0 and values[2] > 0.0
     assert errs == (0.0, 0.0, 0.0)
+    assert sol.rho_star_stderr == 0.0
 
 
 def test_closed_form_same_for_every_pre_change_vertex(inf_b, pair):
@@ -96,13 +98,44 @@ def test_auto_falls_back_to_monte_carlo(inf_a, pair):
 
 
 def test_monte_carlo_root_matches_the_closed_form(inf_a, pair):
-    sol = solve_rho_star(inf_a, *pair, 200000, RngStream(809), tol=0.005)
+    sol = solve_rho_star(inf_a, *pair, 200000, RngStream(809))
     assert sol.method == "monte_carlo"
     assert not sol.degenerate
     assert abs(sol.rho_star - RHO_STAR) < 0.1
     # the recorded curve brackets the root: some negative, some positive
     values = [v for _, v, _ in sol.h_curve]
     assert min(values) < 0.0 < max(values)
+
+
+def test_monte_carlo_root_is_the_estimates_own_root(inf_a, pair):
+    n = 200000
+    sol = solve_rho_star(inf_a, *pair, n, RngStream(809))
+    assert sol.h_curve[-1][0] == sol.rho_star
+    # Newton falls monotonically from the first point beyond 3 stderr
+    rhos = [r for r, _, _ in sol.h_curve]
+    first = next(i for i, (_, h, se) in enumerate(sol.h_curve) if h > 3.0 * se)
+    assert rhos[:first + 1] == [2.0 ** i for i in range(first + 1)]
+    assert all(b < a for a, b in zip(rhos[first:], rhos[first + 1:]))
+    # one more Newton step on the same increments does not lower it
+    z = _draw_increments(inf_a, *pair, n, RngStream(809))
+    h_hat, se, slope = _h_from_increments(z, sol.rho_star)
+    assert not sol.rho_star - h_hat / slope < sol.rho_star
+    # the reported stderr is the delta-method value at the root, close to
+    # the exact sqrt(expm1(-2 rho m) / n) / -m of a Gaussian increment
+    assert sol.rho_star_stderr == se / slope
+    m, _ = drift_stats(inf_a.mean, *(q.mean for q in pair))
+    exact_se = math.sqrt(math.expm1(-2.0 * RHO_STAR * m) / n) / -m
+    assert sol.rho_star_stderr == pytest.approx(exact_se, rel=0.1)
+    assert abs(sol.rho_star - RHO_STAR) <= 4.0 * sol.rho_star_stderr
+
+
+def test_slope_matches_a_central_difference(inf_a, pair):
+    z = _draw_increments(inf_a, *pair, 20000, RngStream(820))
+    for rho in (0.5, 2.2, 8.0):
+        step = 1e-5 * rho
+        up, down = (_h_from_increments(z, rho + sign * step)[0] for sign in (1, -1))
+        fd = (up - down) / (2 * step)
+        assert _h_from_increments(z, rho)[2] == pytest.approx(fd, rel=1e-6)
 
 
 def test_swapped_pair_raises_drift_sign_error(inf_a, pair):
@@ -125,6 +158,7 @@ def test_every_multiplier_admissible_is_reported_degenerate(inf_a, pair):
     sol = solve_rho_star(inf_a, pair[0], heavier, 1000, RngStream(812))
     assert sol.degenerate
     assert sol.rho_star == RHO_CAP
+    assert sol.rho_star_stderr is None
     assert "cap" in sol.message
     assert all(v <= 0.0 for _, v, _ in sol.h_curve)
 
@@ -195,7 +229,5 @@ def test_solver_validation(inf_a, pair):
         mgf_gap(inf_a, *pair, 1.0, 1, RngStream(816))
     with pytest.raises(ValueError):
         solve_rho_star(inf_a, *pair, 1, RngStream(817))
-    with pytest.raises(ValueError):
-        solve_rho_star(inf_a, *pair, 100, RngStream(818), tol=0.0)
     with pytest.raises(ValueError):
         solve_rho_star(inf_a, *pair, 100, RngStream(819), method="bogus")

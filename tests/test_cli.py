@@ -11,7 +11,7 @@ import pytest
 
 from conftest import GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A, MEAN_POST_B, V_REF
 import scoredetect
-from scoredetect import BetaNetwork, load_lfd_pair, ScoreMixture
+from scoredetect import RHO_CAP, BetaNetwork, load_lfd_pair, RhoSolution, ScoreMixture
 from scoredetect.cli import main
 
 COV = [list(row) for row in V_REF]
@@ -219,6 +219,20 @@ def test_lfd_learned_verify_needs_a_basis_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["lfd.verify.basis_inf", "lfd.basis_post"])
+def test_lfd_rejects_an_empty_model_list(tmp_path, capsys, field):
+    cfg = learned_section()
+    if field == "lfd.verify.basis_inf":
+        cfg["lfd"]["verify"] = {"n": 100, "basis_inf": []}
+    else:
+        cfg["lfd"]["basis_post"] = []
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "lfd"]) == 2
+    assert f"{field} must name at least one model" in capsys.readouterr().err
+    assert not (out / "lfd.json").exists()
+
+
 def test_lfd_learned_requires_a_seed(tmp_path, capsys):
     path = write_config(tmp_path, learned_section(with_seed=False))
     assert main(["--config", path, "--out", str(tmp_path), "lfd"]) == 2
@@ -285,14 +299,49 @@ def test_calibrate_closed_form(tmp_path, capsys):
 
 
 def test_calibrate_monte_carlo(tmp_path, capsys):
-    cfg = calibrate_config(n=20000, tol=0.05)
-    path = write_config(tmp_path, cfg)
-    assert main(["--config", path, "--seed", "8", "--out", str(tmp_path),
-                 "calibrate"]) == 0
-    match = re.search(r"rho_star=([\d.]+) method=monte_carlo",
-                      capsys.readouterr().out)
+    # a legacy "tol" key is ignored like any key the CLI does not read: the
+    # run succeeds and writes the same bytes as one without it
+    outs = []
+    for name, cfg in (("legacy", calibrate_config(n=20000, tol=0.05)),
+                      ("plain", calibrate_config(n=20000))):
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        outs.append(tmp_path / name)
+        assert main(["--config", path, "--seed", "8", "--out", str(outs[-1]),
+                     "calibrate"]) == 0
+    match = re.search(r"rho_star=([\d.]+) method=monte_carlo degenerate=False"
+                      r" rho_star_stderr=([\d.e-]+)\n", capsys.readouterr().out)
     assert match is not None
     assert 1.7 < float(match.group(1)) < 2.7
+    assert 0.0 < float(match.group(2)) < 0.2
+    assert ((outs[0] / "calibration.json").read_bytes()
+            == (outs[1] / "calibration.json").read_bytes())
+
+
+def test_calibrate_writes_deterministic_outputs(tmp_path, capsys):
+    path = write_config(tmp_path, calibrate_config(n=20000, gammas=[100]))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--config", path, "--seed", "11", "--out", str(out), "calibrate"]) == 0
+    first, second = capsys.readouterr().out.split("rho_star=")[1:]
+    assert first == second
+    payload = (outs[0] / "calibration.json").read_bytes()
+    assert payload == (outs[1] / "calibration.json").read_bytes()
+    sol = json.loads(payload)
+    assert sol["method"] == "monte_carlo"
+    assert sol["rho_star"] == sol["h_curve"][-1][0]
+    assert sol["rho_star_stderr"] > 0.0
+
+
+def test_calibrate_reports_no_stderr_for_a_degenerate_solution(tmp_path, capsys, monkeypatch):
+    # no Gaussian config reaches the cap, so the solver's degenerate result
+    # is fed in directly
+    degenerate = RhoSolution(RHO_CAP, ((1.0, -0.5, 0.01),), "monte_carlo", None,
+                             degenerate=True, message="cap")
+    monkeypatch.setattr("scoredetect.cli.solve_rho_star", lambda *args, **kwargs: degenerate)
+    path = write_config(tmp_path, calibrate_config(n=100))
+    assert main(["--config", path, "--seed", "8", "--out", str(tmp_path), "calibrate"]) == 0
+    assert "degenerate=True rho_star_stderr=none\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "calibration.json").read_text())["rho_star_stderr"] is None
 
 
 def test_calibrate_swapped_pair_is_an_assumption_failure(tmp_path, capsys):
@@ -333,8 +382,8 @@ def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, mess
     assert not (out / "calibration.json").exists()
 
 
-@pytest.mark.parametrize("key, value", [("n", "many"), ("n", 1), ("n", 2.5), ("tol", 0),
-                                        ("tol", "x"), ("tol", float("inf")), ("gammas", ["x"]),
+@pytest.mark.parametrize("key, value", [("n", "many"), ("n", 1), ("n", 2.5), ("method", "bogus"),
+                                        ("method", 5), ("method", None), ("gammas", ["x"]),
                                         ("gammas", [0.5]), ("gammas", [True]),
                                         ("gammas", [[10]])])
 def test_calibrate_names_the_bad_field(tmp_path, capsys, key, value):

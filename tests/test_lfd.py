@@ -61,6 +61,45 @@ def test_overlapping_families_are_rejected():
         gaussian_polytope_lfd(pre, post)
 
 
+# the overlap test is relative to the vertex scale: a distance left by rounding
+# at large coordinates is overlap, and a tiny distance at tiny ones is not
+
+def test_rounding_distance_at_large_coordinates_is_overlap():
+    # of 2000 random hull pairs at scale 1e7, these two overlap but the
+    # nearest-point solve leaves a distance of about 1e-9 from rounding
+    rng = np.random.default_rng(1)
+    hulls = {}
+    for trial in range(1592):
+        d, ka, kb = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (1, 5), (1, 5)))
+        hulls[trial] = (rng.standard_normal((ka, d)) * 1e7, rng.standard_normal((kb, d)) * 1e7)
+    for trial in (939, 1591):
+        va, vb = hulls[trial]
+        eye = np.eye(va.shape[1])
+        with pytest.raises(DisjointnessError, match="not disjoint"):
+            gaussian_polytope_lfd(MeanPolytope(va, eye), MeanPolytope(vb, eye))
+
+
+def test_tiny_separation_at_tiny_coordinates_is_disjoint():
+    pair = gaussian_polytope_lfd(MeanPolytope([[0.0, 0.0]], EYE2),
+                                 MeanPolytope([[5e-11, 0.0]], EYE2))
+    assert pair.fisher_gap == pytest.approx(0.5 * 5e-11 ** 2, rel=1e-9)
+
+
+def test_crossing_unit_segments_at_large_coordinates_overlap():
+    s = 1e7
+    pre = MeanPolytope([[s - 0.5, s], [s + 0.5, s]], EYE2)
+    post = MeanPolytope([[s, s - 0.5], [s, s + 0.5]], EYE2)
+    with pytest.raises(DisjointnessError, match="not disjoint"):
+        gaussian_polytope_lfd(pre, post)
+
+
+def test_parallel_unit_segments_at_large_coordinates_are_disjoint():
+    s = 1e7
+    pre = MeanPolytope([[s - 0.5, s], [s + 0.5, s]], EYE2)
+    post = MeanPolytope([[s - 0.5, s + 1.0], [s + 0.5, s + 1.0]], EYE2)
+    assert gaussian_polytope_lfd(pre, post).fisher_gap == pytest.approx(0.5, rel=1e-6)
+
+
 def test_covariance_weighting_shapes_the_minimizer():
     # the nearest point is computed under the V-norm, so for an anisotropic
     # covariance it differs from the Euclidean projection; compare against

@@ -119,7 +119,9 @@ def test_rho_solution_dump_fields():
     sol = RhoSolution(2.2, ((1.0, -0.5, 0.01),), "monte_carlo",
                       degenerate=False, message="")
     d = dump_rho_solution(sol)
-    assert set(d) == {"rho_star", "method", "degenerate", "message", "h_curve"}
+    assert set(d) == {"rho_star", "rho_star_stderr", "method", "degenerate", "message",
+                      "h_curve"}
+    assert d["rho_star_stderr"] == 0.0
     assert d["rho_star"] == 2.2
     assert d["h_curve"] == [[1.0, -0.5, 0.01]]
     assert json.loads(json.dumps(d)) == d
