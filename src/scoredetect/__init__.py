@@ -11,8 +11,8 @@ from .bench import (SweepRow, TrialSummary, arl_edd_sweep, estimate_drift,
                     run_lengths, write_sweep_csv)
 from .calibration import (CalibrationError, DriftSignError, RhoSolution,
                           RHO_CAP, mgf_gap, solve_rho_star, threshold_for_arl)
-from .detectors import (DetectorConfig, DetectorState, RunResult,
-                        batch_scores, cusum_log_lr_step, run_stream, step)
+from .detectors import (DetectorConfig, DetectorState, batch_scores,
+                        cusum_log_lr_step, step)
 from .lfd import (BetaNetwork, DisjointnessError, DriftConditionReport,
                   LfdPair, MeanPolytope, TrainConfig, TrainReport,
                   TrainingDivergedError, gaussian_polytope_lfd,
@@ -30,13 +30,13 @@ __all__ = [
     "BetaNetwork", "CalibrationError", "DetectorConfig", "DetectorState",
     "DisjointnessError", "DriftConditionReport", "DriftSignError", "Gaussian",
     "GaussianMixture", "Gbrbm", "LangevinConfig", "LfdPair", "MeanPolytope",
-    "ModelError", "RHO_CAP", "RhoSolution", "RngStream", "RunResult",
+    "ModelError", "RHO_CAP", "RhoSolution", "RngStream",
     "ScoreMixture", "SweepRow", "TrainConfig", "TrainReport",
     "TrainingDivergedError", "TrialSummary", "arl_edd_sweep", "as_generator",
     "batch_scores", "cusum_log_lr_step", "dump_lfd_pair", "estimate_drift",
     "fisher_gaussian", "fisher_mc", "gaussian_polytope_lfd", "gibbs_gbrbm",
     "hutchinson_laplacian", "langevin_chain", "load_lfd_pair", "load_model",
-    "mgf_gap", "run_lengths", "run_stream", "solve_rho_star", "step",
+    "mgf_gap", "run_lengths", "solve_rho_star", "step",
     "threshold_for_arl", "train_beta_networks", "verify_drift_condition",
     "write_json", "write_sweep_csv",
 ]

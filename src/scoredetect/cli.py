@@ -6,13 +6,18 @@ section per subcommand; randomized commands additionally need an explicit
 seed (``--seed`` or a ``seed`` entry).  Outputs are written under ``--out``
 and are byte-identical for a fixed config and seed.
 
+``detect`` scores a regular file ``_DETECT_CHUNK`` lines per ``batch_scores``
+call and a pipe one line per call, then steps once per observation.
+
 Exit codes: 0 success (including "no alarm" and degenerate calibration),
-2 input or config errors, 3 assumption violations such as a positive
-pre-change drift.
+2 input or config errors (``ConfigError``, ``ModelError`` and
+``DisjointnessError``), 3 assumption violations such as a positive
+pre-change drift.  Any other exception is a bug and ends in a traceback.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,19 +26,23 @@ import numpy as np
 from .bench import arl_edd_sweep, estimate_drift, threshold_grid, write_sweep_csv
 from .calibration import (CalibrationError, DriftSignError, solve_rho_star,
                           threshold_for_arl)
-from .detectors import DetectorConfig, DetectorState, step
+from .detectors import DetectorConfig, DetectorState, batch_scores, step
 from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
 from .models import Gaussian, Gbrbm, ModelError
 from .rngs import RngStream
 from .samplers import LangevinConfig
-from .serialize import (dump_lfd_pair, dump_rho_solution, load_lfd_pair,
-                        load_model, write_json)
+from .serialize import (dump_lfd_pair, dump_rho_solution, float_array,
+                        load_lfd_pair, load_model, write_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
+
+# lines per batch_scores call on a seekable detect input; a batch can round an
+# increment differently from a row, so the width is in the determinism contract
+_DETECT_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -105,7 +114,10 @@ def _load_config(path):
 def _models_table(cfg):
     table = {}
     for name, desc in _object(cfg.get("models", {}), "models").items():
-        table[name] = load_model(desc)
+        try:
+            table[name] = load_model(desc)
+        except ModelError as exc:
+            raise ConfigError(f"models.{name}: {exc}") from None
     return table
 
 
@@ -156,9 +168,9 @@ def cmd_lfd(cfg, args):
     stream = _seed_stream(cfg, args) if verify or method == "learned" else None
     out = _out_dir(cfg, args)
     if method == "analytic":
-        cov = np.asarray(_require(section, "cov", "lfd"), float)
-        pre = MeanPolytope(np.asarray(_require(section, "pre_vertices", "lfd"), float), cov)
-        post = MeanPolytope(np.asarray(_require(section, "post_vertices", "lfd"), float), cov)
+        cov, pre, post = (float_array(_require(section, key, "lfd"), f"lfd.{key}")
+                          for key in ("cov", "pre_vertices", "post_vertices"))
+        pre, post = MeanPolytope(pre, cov), MeanPolytope(post, cov)
         pair = gaussian_polytope_lfd(pre, post)
         report = None
         if verify and verify_basis is None:
@@ -303,16 +315,30 @@ def cmd_bench(cfg, args):
     return EXIT_OK
 
 
-def _parse_stream(handle):
+def _observation_blocks(handle, dim):
+    """``(k, dim)`` blocks of the stream: ``_DETECT_CHUNK`` lines from a seekable
+    file, one line from a pipe, so a live alarm never waits.  A bad line raises
+    a ConfigError naming it once the rows before it have been consumed."""
+    width = _DETECT_CHUNK if handle.seekable() else 1
+    rows = []
     for lineno, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
+        if not line.strip():
             continue
         try:
-            vec = np.array([float(tok) for tok in text.replace(",", " ").split()])
+            row = [float(tok) for tok in line.replace(",", " ").split()]
+            error = (f"expected dimension {dim}, got {len(row)}" if len(row) != dim
+                     else None if all(map(math.isfinite, row)) else "non-finite observation")
         except ValueError:
-            raise ConfigError(f"line {lineno}: cannot parse observation vector") from None
-        yield lineno, vec
+            error = "cannot parse observation vector"
+        if error is None:
+            rows.append(row)
+        if rows and (error or len(rows) == width):
+            yield np.array(rows)
+            rows = []
+        if error:
+            raise ConfigError(f"line {lineno}: {error}")
+    if rows:
+        yield np.array(rows)
 
 
 def cmd_detect(cfg, args):
@@ -323,13 +349,10 @@ def cmd_detect(cfg, args):
     state = DetectorState()
     handle = _open(args.input, "detect --input") if args.input else sys.stdin
     try:
-        for lineno, vec in _parse_stream(handle):
-            if vec.size != detector.model_inf.dim:
-                raise ConfigError(
-                    f"line {lineno}: expected dimension {detector.model_inf.dim},"
-                    f" got {vec.size}"
-                )
-            step(detector, state, vec)
+        for xs in _observation_blocks(handle, detector.model_inf.dim):
+            for inc in batch_scores(detector, xs[:cap - state.n]).tolist():
+                if step(state, inc, detector.omega).stopped_at is not None:
+                    break
             if state.stopped_at is not None or state.n >= cap:
                 break
     finally:
@@ -395,7 +418,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ModelError, DisjointnessError, ValueError, KeyError) as exc:
+    except (ConfigError, ModelError, DisjointnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DriftSignError, CalibrationError) as exc:

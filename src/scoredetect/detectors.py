@@ -10,6 +10,13 @@ only touches scores and Laplacians, the recursion applies verbatim to
 unnormalized models.  The same recursion with exact Gaussian
 log-likelihood-ratio increments is provided as a classical baseline.
 
+``batch_scores`` is the one increment function and ``step`` the recursion
+on one increment, so a stream is scored in blocks and then stepped one
+increment at a time::
+
+    for inc in batch_scores(cfg, xs).tolist():
+        step(state, inc, cfg.omega)
+
 Stepping past an alarm is permitted: the recursion simply continues and
 ``stopped_at`` keeps the first crossing.
 """
@@ -26,10 +33,8 @@ from .models import ModelError, Gaussian, hutchinson_laplacian  # noqa: F401
 __all__ = [
     "DetectorConfig",
     "DetectorState",
-    "RunResult",
     "batch_scores",
     "step",
-    "run_stream",
     "cusum_log_lr_step",
 ]
 
@@ -64,59 +69,23 @@ class DetectorState:
     stopped_at: int | None = None
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of feeding a finite stream to a detector."""
-
-    stopping_time: int | None
-    steps: int
-    final_statistic: float
-
-    @property
-    def censored(self) -> bool:
-        return self.stopping_time is None
-
-
 def batch_scores(cfg: DetectorConfig, x):
     """Increments ``rho * (S(x, inf) - S(x, post))`` for one observation
     ``(d,)`` (a float) or a batch ``(..., d)``.
 
-    ``step``, the benchmark sweeps and the calibration all call it, so a
+    ``detect``, the benchmark sweeps and the calibration all call it, so a
     detector has the same increments everywhere.
     """
     return cfg.rho * (cfg.model_inf.hyvarinen(x) - cfg.model_post.hyvarinen(x))
 
 
-def step(cfg: DetectorConfig, state: DetectorState, x) -> DetectorState:
-    """Advance the reflected recursion by one observation (state is mutated)."""
-    return _advance(state, float(batch_scores(cfg, x)), cfg.omega)
-
-
-def _advance(state: DetectorState, increment: float, omega: float) -> DetectorState:
+def step(state: DetectorState, increment: float, omega: float) -> DetectorState:
+    """Advance the reflected recursion by one increment (state is mutated)."""
     state.statistic = max(state.statistic + increment, 0.0)
     state.n += 1
     if state.stopped_at is None and state.statistic >= omega:
         state.stopped_at = state.n
     return state
-
-
-def run_stream(cfg: DetectorConfig, xs, cap: int) -> RunResult:
-    """Run the detector over a stream until alarm or ``cap`` observations.
-
-    Returns the first crossing as ``stopping_time``; a stream that ends (or
-    hits the cap) without an alarm yields a censored result, so an empty
-    stream is censored at 0.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    state = DetectorState()
-    for x in xs:
-        step(cfg, state, x)
-        if state.stopped_at is not None:
-            return RunResult(state.stopped_at, state.n, state.statistic)
-        if state.n >= cap:
-            break
-    return RunResult(None, state.n, state.statistic)
 
 
 def cusum_log_lr_step(p_inf, p_post, state: DetectorState, x,
@@ -127,4 +96,4 @@ def cusum_log_lr_step(p_inf, p_post, state: DetectorState, x,
     if not (isinstance(p_inf, Gaussian) and isinstance(p_post, Gaussian)):
         raise ModelError("the likelihood-ratio baseline requires Gaussian models")
     inc = p_post.log_density(x) - p_inf.log_density(x)
-    return _advance(state, float(inc), omega)
+    return step(state, float(inc), omega)

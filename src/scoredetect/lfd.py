@@ -347,10 +347,13 @@ class BetaNetwork:
     @classmethod
     def from_dict(cls, d: dict) -> "BetaNetwork":
         if d.get("kind") != "beta_network":
-            raise ValueError("not a serialized weight network")
-        net = cls(d["w1"], d["b1"], d["w2"], d["b2"])
+            raise ModelError("not a serialized weight network")
+        try:
+            net = cls(d["w1"], d["b1"], d["w2"], d["b2"])
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"beta: {exc}") from None
         if (net.dim, net.hidden, net.outputs) != (d["dim"], d["hidden"], d["outputs"]):
-            raise ValueError("serialized layer shapes are inconsistent")
+            raise ModelError("serialized layer shapes are inconsistent")
         return net
 
 

@@ -22,6 +22,14 @@ __all__ = [
 ]
 
 
+def float_array(value, name):
+    """``value`` as a float array, or a ModelError naming ``name``."""
+    try:
+        return np.asarray(value, float)
+    except (TypeError, ValueError):
+        raise ModelError(f"{name} must be an array of numbers") from None
+
+
 def load_model(d: dict):
     """Rebuild a model from its dictionary form (see ``Model.to_dict``)."""
     if not isinstance(d, dict) or "type" not in d:
@@ -29,16 +37,13 @@ def load_model(d: dict):
     kind = d["type"]
     try:
         if kind == "gaussian":
-            return Gaussian(np.asarray(d["mean"], float), np.asarray(d["cov"], float))
+            return Gaussian(float_array(d["mean"], "mean"), float_array(d["cov"], "cov"))
         if kind == "gmm":
             comps = [load_model(c) for c in d["components"]]
-            return GaussianMixture(comps, np.asarray(d["weights"], float))
+            return GaussianMixture(comps, float_array(d["weights"], "weights"))
         if kind == "gbrbm":
-            return Gbrbm(
-                np.asarray(d["weights"], float),
-                np.asarray(d["visible_bias"], float),
-                np.asarray(d["hidden_bias"], float),
-            )
+            return Gbrbm(*(float_array(d[key], key)
+                           for key in ("weights", "visible_bias", "hidden_bias")))
         if kind == "score_mixture":
             basis = [load_model(b) for b in d["basis"]]
             beta = d["beta"]
@@ -49,7 +54,7 @@ def load_model(d: dict):
                 if beta.outputs != len(basis):
                     raise ModelError(f"beta.outputs {beta.outputs} != {len(basis)} basis members")
             else:
-                beta = np.asarray(beta, float)
+                beta = float_array(beta, "beta")
             return ScoreMixture(basis, beta)
     except KeyError as exc:
         raise ModelError(f"model description missing field {exc}") from None

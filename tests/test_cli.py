@@ -11,8 +11,9 @@ import pytest
 
 from conftest import GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A, MEAN_POST_B, V_REF
 import scoredetect
-from scoredetect import RHO_CAP, BetaNetwork, load_lfd_pair, RhoSolution, ScoreMixture
-from scoredetect.cli import main
+from scoredetect import (RHO_CAP, BetaNetwork, DetectorConfig, DetectorState, RhoSolution,
+                         ScoreMixture, batch_scores, load_lfd_pair, load_model, step)
+from scoredetect.cli import _DETECT_CHUNK, main
 
 COV = [list(row) for row in V_REF]
 
@@ -121,6 +122,36 @@ def test_array_field_of_the_wrong_type_names_it(tmp_path, capsys, field):
     assert main(["--config", path, "--out", str(out), parents[0]]) == 2
     assert f"{field} must be a JSON array, got int" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("desc, field", [
+    ({"type": "gaussian", "mean": "abc", "cov": COV}, "models.bad: mean must be"),
+    ({"type": "gaussian", "mean": {"x": 1}, "cov": COV}, "models.bad: mean must be"),
+    ({"type": "gbrbm", "weights": [[1.0, 2.0], [3.0]], "visible_bias": [0.0, 0.0],
+      "hidden_bias": [0.0, 0.0]}, "models.bad: weights must be"),
+    ({"type": "score_mixture", "basis": [gaussian([0.0, 0.0])], "beta": "x"},
+     "models.bad: beta must be"),
+    ({"type": "score_mixture", "basis": [gaussian([0.0, 0.0])],
+      "beta": {"kind": "beta_network", "w1": "x", "b1": [0.0], "w2": [[0.0]], "b2": [0.0]}},
+     "models.bad: beta"),
+], ids=["string", "object", "ragged", "beta-string", "beta-network"])
+def test_model_field_that_is_not_numeric_names_it(tmp_path, capsys, desc, field):
+    cfg = detect_config()
+    cfg["models"]["bad"] = desc
+    cfg["detect"]["detector"]["model_inf"] = "bad"
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "detect", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["cov", "pre_vertices", "post_vertices"])
+def test_lfd_names_a_non_numeric_polytope_field(tmp_path, capsys, key):
+    section = {"cov": COV, "pre_vertices": [[0.0, 0.0]], "post_vertices": [[1.0, 1.0]]}
+    section[key] = [[0.0], [1.0, "a"]]
+    path = write_config(tmp_path, base_config(lfd=section))
+    assert main(["--config", path, "--out", str(tmp_path), "lfd"]) == 2
+    assert f"lfd.{key} must be an array of numbers" in capsys.readouterr().err
 
 
 def test_unknown_model_reference(tmp_path, capsys):
@@ -365,10 +396,14 @@ def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
                                               ("{not json", "not valid JSON"),
                                               ("[]", "must be a JSON object"),
                                               ('{"q_post": {}}', "missing 'q_inf'"),
-                                              (pair_json(fisher_gap=[]), "'fisher_gap'"),
-                                              (pair_json(fisher_gap_stderr="0"),
-                                               "'fisher_gap_stderr'"),
-                                              (pair_json(notes=5), "'notes'")])
+                                              # whole JSON documents make unreadable ids
+                                              pytest.param(pair_json(fisher_gap=[]), "'fisher_gap'",
+                                                           id="fisher_gap-list"),
+                                              pytest.param(pair_json(fisher_gap_stderr="0"),
+                                                           "'fisher_gap_stderr'",
+                                                           id="fisher_gap_stderr-str"),
+                                              pytest.param(pair_json(notes=5), "'notes'",
+                                                           id="notes-int")])
 def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, message):
     pair_file = tmp_path / "lfd.json"
     if content is not None:
@@ -593,6 +628,63 @@ def test_detect_rejects_wrong_dimension(tmp_path, capsys):
     assert "expected dimension 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan,0.1", "inf,0.1", "0.1 -inf", "1e999,0.1"])
+def test_detect_names_a_non_finite_line(tmp_path, capsys, bad):
+    path = write_config(tmp_path, detect_config())
+    stream = tmp_path / "stream.txt"
+    stream.write_text(f"0.1 0.2\n\n{bad}\n0.3 0.4\n")
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: non-finite observation" in captured.err and captured.out == ""
+
+
+class LivePipe:
+    """A stdin that cannot seek, like a pipe or a terminal, whose writer has
+    sent ``text`` and keeps it open: reading past ``text`` fails the test,
+    where a live stream would block."""
+
+    def __init__(self, text):
+        self.lines = text.splitlines(keepends=True)
+
+    def seekable(self):
+        return False
+
+    def __iter__(self):
+        yield from self.lines
+        raise AssertionError("read past the lines sent, where a live stream blocks")
+
+
+def test_detect_on_a_pipe_alarms_without_reading_ahead(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, detect_config())
+    monkeypatch.setattr("sys.stdin", LivePipe("2.42,2.42\n" * 6))
+    assert main(["--config", path, "detect"]) == 0
+    assert capsys.readouterr().out.startswith("stopped_at=6 ")
+
+
+@pytest.mark.parametrize("bad", ["abc def", "0.5", "nan,0.1"])
+@pytest.mark.parametrize("stop", ["alarm", "cap"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "pipe"])
+def test_detect_ignores_a_bad_line_after_the_run_stops(tmp_path, capsys, monkeypatch,
+                                                       bad, stop, stdin):
+    # the alarm lands on line 6 at omega 2.9; with cap 2 the run ends on line 2
+    cfg = detect_config() if stop == "alarm" else detect_config(omega=100.0)
+    if stop == "cap":
+        cfg["detect"]["cap"] = 2
+    path = write_config(tmp_path, cfg)
+    outs = []
+    for text in ("2.42,2.42\n" * 8, "2.42,2.42\n" * 6 + f"{bad}\n" + "2.42,2.42\n" * 2):
+        stream = tmp_path / "stream.txt"
+        stream.write_text(text)
+        argv = ["--config", path, "detect", "--input", str(stream)]
+        if stdin:
+            monkeypatch.setattr("sys.stdin", LivePipe(text))
+            argv = argv[:-2]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("stopped_at=6 " if stop == "alarm" else "stopped_at=none steps=2 ")
+
+
 def learned_models(dim=2, outputs=2):
     net = BetaNetwork.initialize(dim, outputs, np.random.default_rng(31))
     return {
@@ -618,6 +710,56 @@ def test_detect_on_a_learned_pair_needs_no_seed(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0].startswith("stopped_at=none steps=3 statistic=")
     assert outs[0] == outs[1]
+
+
+def rbm_members(dim=3, hidden=2):
+    gen = np.random.default_rng(33)
+    w, c = gen.standard_normal((dim, hidden)).tolist(), gen.standard_normal(hidden).tolist()
+    return {name: {"type": "gbrbm", "weights": w, "visible_bias": [bias] * dim,
+                   "hidden_bias": c} for name, bias in (("r_inf", 0.0), ("r_post", 0.8))}
+
+
+@pytest.mark.parametrize("models, names", [
+    ({}, ("inf_a", "post_a")),
+    (rbm_members(), ("r_inf", "r_post")),
+    (learned_models(), ("q_inf", "q_post")),
+], ids=["gaussian", "rbm", "network_mixture"])
+def test_detect_replays_the_batch_increments(tmp_path, capsys, monkeypatch, models, names):
+    # a stream over two blocks long whose first crossing falls after the
+    # first block: detect prints what step looped over batch_scores of the
+    # whole array gives, from a file read in blocks and from a pipe read a
+    # line at a time
+    cfg = base_config()
+    cfg["models"].update(models)
+    table = {name: load_model(cfg["models"][name]) for name in names}
+    dim = table[names[0]].dim
+    gen = np.random.default_rng(34)
+    n, change = 2 * _DETECT_CHUNK + 808, _DETECT_CHUNK + 904
+    xs = gen.standard_normal((n, dim)) + np.where(np.arange(n) < change, -0.5, 1.5)[:, None]
+    increments = batch_scores(DetectorConfig(*table.values(), omega=0.0, rho=1.3), xs).tolist()
+    free = DetectorState()  # no threshold: the whole reflected path
+    walk = np.array([step(free, inc, float("inf")).statistic for inc in increments])
+    first_max = int(np.argmax(walk))
+    assert first_max >= _DETECT_CHUNK
+    omega = 0.5 * (walk[first_max] + walk[:first_max].max())
+    state = DetectorState()
+    for inc in increments:
+        if step(state, inc, omega).stopped_at is not None:
+            break
+    assert state.stopped_at == first_max + 1
+    want = f"stopped_at={state.stopped_at} statistic={state.statistic:.10g}\n"
+
+    cfg["detect"] = {"detector": {"model_inf": names[0], "model_post": names[1],
+                                  "omega": omega, "rho": 1.3}}
+    path = write_config(tmp_path, cfg)
+    text = "".join(",".join(map(repr, row)) + "\n" for row in xs.tolist())
+    stream = tmp_path / "stream.txt"
+    stream.write_text(text)
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr("sys.stdin", LivePipe(text))
+    assert main(["--config", path, "detect"]) == 0
+    assert capsys.readouterr().out.split()[0] == f"stopped_at={state.stopped_at}"
 
 
 @pytest.mark.parametrize("dim, outputs, field", [(3, 2, "beta.dim"), (2, 3, "beta.outputs")])
@@ -683,6 +825,26 @@ def test_sample_rejects_bad_fields_before_drawing(tmp_path, capsys, extra, field
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+def test_internal_error_is_not_a_config_error(tmp_path):
+    # exit 2 is for the errors load-time checks raise; a KeyError from a bug
+    # inside a command ends in a traceback and exit 1
+    package_root = os.path.dirname(os.path.dirname(scoredetect.__file__))
+    script = ("import sys, scoredetect.cli as cli\n"
+              "def broken(*args, **kwargs):\n"
+              "    raise KeyError('internal')\n"
+              "cli.threshold_for_arl = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    path = write_config(tmp_path, calibrate_config(n=5000, gammas=[10.0]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, "--config", path, "--seed", "9",
+                           "--out", str(tmp_path), "calibrate"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "KeyError: 'internal'" in proc.stderr
+    assert "error: " not in proc.stderr
 
 
 def test_console_script_smoke(tmp_path):

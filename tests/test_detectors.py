@@ -6,25 +6,39 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GAP_NEAR, drift_stats, fd_divergence, make_rbm_family
 from scoredetect import (BetaNetwork, DetectorConfig, DetectorState, Gaussian,
-                         Gbrbm, ModelError, RngStream, RunResult, ScoreMixture,
-                         batch_scores, cusum_log_lr_step, run_stream, step)
+                         Gbrbm, ModelError, RngStream, ScoreMixture,
+                         batch_scores, cusum_log_lr_step, step)
 
 
-class StubModel:
-    """Fixed-dimension model whose Hyvarinen score is a supplied function."""
+class CoordinateModel:
+    """One-dimensional stand-in whose Hyvarinen score is ``sign * x``, so a
+    detector on (CoordinateModel(), CoordinateModel(0)) has increment
+    ``rho * x``."""
 
-    def __init__(self, fn, dim=1):
-        self.fn = fn
-        self.dim = dim
+    dim = 1
+
+    def __init__(self, sign=1.0):
+        self.sign = sign
 
     def hyvarinen(self, x):
-        return self.fn(np.atleast_1d(np.asarray(x, dtype=float)))
+        return self.sign * np.asarray(x, dtype=float)[..., 0]
 
 
-def constant_gap_detector(gap, omega, rho=1.0):
-    inf = StubModel(lambda x: float(gap))
-    post = StubModel(lambda x: 0.0)
-    return DetectorConfig(inf, post, omega=omega, rho=rho)
+def walk(increments, omega):
+    """The state after stepping every increment from a fresh state."""
+    state = DetectorState()
+    for inc in increments:
+        step(state, inc, omega)
+    return state
+
+
+def first_crossing(cfg, xs):
+    """``stopped_at`` of ``cfg`` stepped over the increments of ``xs``."""
+    state = DetectorState()
+    for inc in batch_scores(cfg, xs).tolist():
+        if step(state, inc, cfg.omega).stopped_at is not None:
+            return state.stopped_at
+    return None
 
 
 def test_config_validation(inf_a, post_a):
@@ -57,42 +71,33 @@ def test_batch_scores_match_the_loop(inf_a, post_a):
 
 
 def test_constant_increment_walk_stops_on_schedule():
-    cfg = constant_gap_detector(0.5, omega=3.0)
-    xs = np.zeros((10, 1))
-    out = run_stream(cfg, xs, cap=10)
-    assert out == RunResult(stopping_time=6, steps=6, final_statistic=3.0)
-    assert not out.censored
+    state = DetectorState()
+    for n in range(1, 11):
+        step(state, 0.5, 3.0)
+        assert (state.n, state.statistic) == (n, 0.5 * n)
+        assert state.stopped_at == (None if n < 6 else 6)
 
 
 def test_zero_threshold_alarms_immediately():
-    cfg = constant_gap_detector(-2.0, omega=0.0)
-    out = run_stream(cfg, np.zeros((5, 1)), cap=5)
-    assert out.stopping_time == 1
-    assert out.final_statistic == 0.0
+    state = step(DetectorState(), -2.0, 0.0)
+    assert state.stopped_at == 1
+    assert state.statistic == 0.0
 
 
 def test_censoring_and_empty_stream():
-    cfg = constant_gap_detector(-1.0, omega=5.0)
-    out = run_stream(cfg, np.zeros((4, 1)), cap=3)
-    assert out == RunResult(None, 3, 0.0)
-    assert out.censored
-    assert run_stream(cfg, np.zeros((0, 1)), cap=3) == RunResult(None, 0, 0.0)
-    with pytest.raises(ValueError):
-        run_stream(cfg, np.zeros((3, 1)), cap=0)
+    assert walk([-1.0] * 3, 5.0) == DetectorState(statistic=0.0, n=3, stopped_at=None)
+    assert walk([], 5.0) == DetectorState(statistic=0.0, n=0, stopped_at=None)
 
 
 def test_statistic_reflects_at_zero_and_stop_sticks():
-    script = iter([4.0, -10.0, 1.0, 2.0])
-    cfg = DetectorConfig(StubModel(lambda x: next(script)),
-                         StubModel(lambda x: 0.0), omega=3.0)
     state = DetectorState()
-    step(cfg, state, [0.0])
+    step(state, 4.0, 3.0)
     assert (state.statistic, state.stopped_at) == (4.0, 1)
-    step(cfg, state, [0.0])
+    step(state, -10.0, 3.0)
     assert state.statistic == 0.0  # reflected, never negative
     assert state.stopped_at == 1  # first crossing is permanent
-    step(cfg, state, [0.0])
-    step(cfg, state, [0.0])
+    step(state, 1.0, 3.0)
+    step(state, 2.0, 3.0)
     assert state.statistic == 3.0
     assert state.stopped_at == 1
 
@@ -119,18 +124,14 @@ def _zero_or_normal(bound, signed=True):
 def test_multiplier_rescales_threshold_exactly(rho, increments, omega):
     # scaling the increments by a power of two and the threshold with them
     # is a bitwise no-op on the stopping law
-    vals = iter(increments)
-    base = DetectorConfig(StubModel(lambda x: next(vals)),
-                          StubModel(lambda x: 0.0), omega=omega)
-    ref = run_stream(base, np.zeros((len(increments), 1)), cap=64)
-    vals = iter(increments)
-    scaled = DetectorConfig(StubModel(lambda x: next(vals)),
-                            StubModel(lambda x: 0.0),
-                            omega=rho * omega, rho=rho)
-    got = run_stream(scaled, np.zeros((len(increments), 1)), cap=64)
-    assert got.stopping_time == ref.stopping_time
-    assert got.steps == ref.steps
-    assert got.final_statistic == rho * ref.final_statistic
+    xs = np.array(increments)[:, None]
+    scaled = DetectorConfig(CoordinateModel(), CoordinateModel(0.0), omega=rho * omega, rho=rho)
+    assert batch_scores(scaled, xs).tolist() == [rho * inc for inc in increments]
+    ref = walk(increments, omega)
+    got = walk(batch_scores(scaled, xs).tolist(), scaled.omega)
+    assert got.stopped_at == ref.stopped_at
+    assert got.n == ref.n
+    assert got.statistic == rho * ref.statistic
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,12 +141,9 @@ def test_multiplier_rescales_threshold_exactly(rho, increments, omega):
     min_size=1, max_size=40,
 ))
 def test_statistic_is_never_negative(increments):
-    vals = iter(increments)
-    cfg = DetectorConfig(StubModel(lambda x: next(vals)),
-                         StubModel(lambda x: 0.0), omega=math.exp(700))
     state = DetectorState()
-    for _ in increments:
-        step(cfg, state, [0.0])
+    for inc in increments:
+        step(state, inc, math.exp(700))
         assert state.statistic >= 0.0
 
 
@@ -155,7 +153,7 @@ def test_mean_delay_tracks_the_wald_ratio(inf_b, post_b):
     cfg = DetectorConfig(inf_b, post_b, omega=5.0)
     drift, var = drift_stats(post_b.mean, inf_b.mean, post_b.mean)
     data = post_b.sample(400 * 40, RngStream(602)).reshape(400, 40, 2)
-    times = [run_stream(cfg, path, cap=40).stopping_time for path in data]
+    times = [first_crossing(cfg, path) for path in data]
     assert None not in times
     # reflection at zero can only speed the crossing up, so allow a small
     # shortfall below the free-walk ratio
@@ -222,14 +220,18 @@ def test_network_mixture_increments_use_the_exact_divergence():
 
 
 def test_step_matches_batch_on_network_mixtures():
-    # detect, bench and calibrate all score through batch_scores, so one
-    # streaming step on a learned pair adds exactly the increment of a
-    # one-row batch
+    # detect, bench and calibrate all score through batch_scores: on a
+    # learned pair a single observation, a one-row batch and a row of a
+    # larger batch give one increment up to rounding, and one step adds
+    # exactly the increment it is given
     cfg = _network_pair(608, rho=1.3, omega=1e9)
     xs = RngStream(609).generator().standard_normal((20, 10))
+    batch = batch_scores(cfg, xs)
     positive = 0
-    for x in xs:
+    for x, inc in zip(xs, batch.tolist()):
         want = batch_scores(cfg, x[None])[0]
-        assert step(cfg, DetectorState(), x).statistic == max(want, 0.0)
+        assert batch_scores(cfg, x) == want
+        assert inc == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert step(DetectorState(), want, cfg.omega).statistic == max(want, 0.0)
         positive += want > 0.0
     assert positive  # so the reflection at zero does not hide every increment
