@@ -7,7 +7,7 @@ seed (``--seed`` or a ``seed`` entry).  Outputs are written under ``--out``
 and are byte-identical for a fixed config and seed.
 
 ``detect`` scores a regular file ``_DETECT_CHUNK`` lines per ``batch_scores``
-call and a pipe one line per call, then steps once per observation.
+call and a pipe one observation per call, then steps once per observation.
 
 Exit codes: 0 success (including "no alarm" and degenerate calibration),
 2 input or config errors (``ConfigError``, ``ModelError`` and
@@ -98,7 +98,7 @@ def _read_json(path, name):
     with _open(path, name) as handle:
         try:
             return _object(json.load(handle), name)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{name} is not valid JSON: {exc}") from None
 
 
@@ -316,29 +316,34 @@ def cmd_bench(cfg, args):
 
 
 def _observation_blocks(handle, dim):
-    """``(k, dim)`` blocks of the stream: ``_DETECT_CHUNK`` lines from a seekable
-    file, one line from a pipe, so a live alarm never waits.  A bad line raises
-    a ConfigError naming it once the rows before it have been consumed."""
+    """``(k, dim)`` blocks of ``_DETECT_CHUNK`` lines from a seekable file, or
+    single ``(dim,)`` rows from a pipe, each scored as one observation, so a
+    live alarm never waits.  A bad line or non-UTF-8 bytes raise a ConfigError
+    saying where, once the rows before them have been consumed."""
     width = _DETECT_CHUNK if handle.seekable() else 1
-    rows = []
-    for lineno, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(tok) for tok in line.replace(",", " ").split()]
-            error = (f"expected dimension {dim}, got {len(row)}" if len(row) != dim
-                     else None if all(map(math.isfinite, row)) else "non-finite observation")
-        except ValueError:
-            error = "cannot parse observation vector"
-        if error is None:
+    rows, lineno, error = [], 0, None
+    try:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = [float(tok) for tok in line.replace(",", " ").split()]
+                error = (f"expected dimension {dim}, got {len(row)}" if len(row) != dim
+                         else None if all(map(math.isfinite, row)) else "non-finite observation")
+            except ValueError:
+                error = "cannot parse observation vector"
+            if error:
+                break
             rows.append(row)
-        if rows and (error or len(rows) == width):
-            yield np.array(rows)
-            rows = []
-        if error:
-            raise ConfigError(f"line {lineno}: {error}")
+            if len(rows) == width:
+                yield np.array(rows if width > 1 else row)
+                rows = []
+    except UnicodeDecodeError:  # raised for a whole read buffer, not for one line
+        lineno, error = f"{lineno + 1} or later", "not UTF-8 text"
     if rows:
         yield np.array(rows)
+    if error:
+        raise ConfigError(f"line {lineno}: {error}")
 
 
 def cmd_detect(cfg, args):
@@ -350,7 +355,8 @@ def cmd_detect(cfg, args):
     handle = _open(args.input, "detect --input") if args.input else sys.stdin
     try:
         for xs in _observation_blocks(handle, detector.model_inf.dim):
-            for inc in batch_scores(detector, xs[:cap - state.n]).tolist():
+            incs = batch_scores(detector, xs[:cap - state.n] if xs.ndim > 1 else xs).tolist()
+            for inc in incs if xs.ndim > 1 else [incs]:
                 if step(state, inc, detector.omega).stopped_at is not None:
                     break
             if state.stopped_at is not None or state.n >= cap:

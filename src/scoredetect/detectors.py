@@ -30,13 +30,7 @@ import numpy as np
 # module and in models, and reports its span only while both names exist
 from .models import ModelError, Gaussian, hutchinson_laplacian  # noqa: F401
 
-__all__ = [
-    "DetectorConfig",
-    "DetectorState",
-    "batch_scores",
-    "step",
-    "cusum_log_lr_step",
-]
+__all__ = ["DetectorConfig", "DetectorState", "batch_scores", "step", "cusum_log_lr_step"]
 
 
 @dataclass(frozen=True)

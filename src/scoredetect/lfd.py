@@ -88,9 +88,9 @@ class LfdPair:
 
     def __post_init__(self):
         if self.provenance not in ("analytic", "learned"):
-            raise ValueError("provenance must be 'analytic' or 'learned'")
+            raise ModelError("provenance must be 'analytic' or 'learned'")
         if not self.fisher_gap > 0:
-            raise ValueError("fisher_gap must be positive (classes must be separated)")
+            raise ModelError("fisher_gap must be positive (classes must be separated)")
 
 
 def _min_norm_weights(points: np.ndarray) -> np.ndarray:

@@ -71,6 +71,13 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "valid JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": 1, "models": {"caf\xe9": {}}}')
+    assert main(["--config", str(path), "lfd"]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload, field", [
     ([1], "config"), ({"version": 1, "models": [], "lfd": {}}, "models"),
     ({"version": 1, "lfd": 5}, "lfd"),
@@ -403,10 +410,20 @@ def test_calibrate_names_a_missing_pair_model(tmp_path, capsys):
                                                            "'fisher_gap_stderr'",
                                                            id="fisher_gap_stderr-str"),
                                               pytest.param(pair_json(notes=5), "'notes'",
-                                                           id="notes-int")])
+                                                           id="notes-int"),
+                                              pytest.param(pair_json(provenance="bogus"),
+                                                           "provenance must be", id="provenance-bogus"),
+                                              pytest.param(pair_json(fisher_gap=0), "fisher_gap must be",
+                                                           id="fisher_gap-zero"),
+                                              pytest.param(pair_json(fisher_gap=float("nan")),
+                                                           "fisher_gap must be", id="fisher_gap-nan"),
+                                              pytest.param(pair_json().encode() + b"\xff", "not valid JSON",
+                                                           id="not-utf8")])
 def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, message):
     pair_file = tmp_path / "lfd.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        pair_file.write_bytes(content)
+    elif content is not None:
         pair_file.write_text(content)
     cfg = base_config(calibrate={"p_inf": "inf_a", "pair_file": str(pair_file), "n": 5000})
     path = write_config(tmp_path, cfg)
@@ -636,6 +653,32 @@ def test_detect_names_a_non_finite_line(tmp_path, capsys, bad):
     assert main(["--config", path, "detect", "--input", str(stream)]) == 2
     captured = capsys.readouterr()
     assert "line 3: non-finite observation" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "pipe"])
+def test_detect_names_text_that_is_not_utf8(tmp_path, capsys, monkeypatch, stdin):
+    # the decoder fails on a whole read buffer: the two lines ahead of the bad
+    # bytes share it and are lost, while an alarm 3000 lines ahead is kept
+    path = write_config(tmp_path, detect_config())
+    for lines, code in ((2, 2), (3000, 0)):
+        data = b"2.42,2.42\n" * lines + b"\xff\xfe\n"
+        stream = tmp_path / "stream.txt"
+        stream.write_bytes(data)
+        argv = ["--config", path, "detect", "--input", str(stream)]
+        if stdin:
+            read, write = os.pipe()
+            os.write(write, data)
+            os.close(write)
+            monkeypatch.setattr("sys.stdin", open(read, encoding="utf-8"))
+            argv = argv[:-2]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "line 1 or later: not UTF-8 text" in captured.err and captured.out == ""
+        else:
+            assert captured.out.startswith("stopped_at=6 ")
+        if stdin:
+            sys.stdin.close()
 
 
 class LivePipe:

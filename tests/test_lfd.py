@@ -201,9 +201,9 @@ def test_mean_polytope_validation():
 
 
 def test_lfd_pair_validation(inf_a, post_a):
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         LfdPair(inf_a, post_a, fisher_gap=0.0, provenance="analytic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         LfdPair(inf_a, post_a, fisher_gap=1.0, provenance="guessed")
 
 

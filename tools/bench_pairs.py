@@ -1,16 +1,16 @@
 """Alternating before/after runs of the benchmark, summarised as one
 ``BENCH_*.json``.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--workloads a,b] [--pairs 10] [--seconds 30] [--first-seed 101]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
 
 ``--parent`` and ``--change`` are checkouts of the two commits, for example
 made with ``git archive``.  Each run is ``python3 perfbench/run.py
 --workload W --seed S --seconds T --trace 0`` inside one checkout, so each
-side runs its own program under its own copy of the benchmark.  Pair ``i``
-of a workload runs both sides on seed ``first_seed + i``; even pairs run the
-parent first and odd pairs the change, so that a drift in the host's speed
-does not favour one side.
+side runs its own program under its own copy of the benchmark, with ``T``
+the ``run_seconds`` of the change's ``BENCHMARK.json``.  Every workload of
+that file gets ``PAIRS`` pairs; pair ``i`` runs both sides on seed
+``FIRST_SEED + i``, even pairs the parent first and odd pairs the change,
+so that a drift in the host's speed does not favour one side.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the file
 holds both sides' median and quartiles, every run's value, how many pairs
@@ -34,20 +34,16 @@ from pathlib import Path
 import numpy as np
 
 
+PAIRS = 10
+FIRST_SEED = 101
+
+
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--first-seed", type=int, default=101)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def src_lines(tree):
@@ -104,9 +100,8 @@ def summarise(metric, runs):
 def main(argv=None):
     args = _parse(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seconds = bench["run_seconds"]
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "run_seconds": seconds, "seeds": seeds, "order": "parent first on even pairs",
@@ -116,7 +111,7 @@ def main(argv=None):
         "workloads": {},
     }
     began = time.time()
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
