@@ -3,12 +3,18 @@ expected detection delay (EDD) for score-based CUSUM detectors.
 
 Paths are simulated in fixed-size shards that advance in lockstep, each
 shard drawing from its own deterministic substream, so results are exactly
-reproducible for a fixed stream.  A single pass records the first crossing
-of every threshold in a grid at once; a single threshold is a one-point
-grid.  The grid is sorted, so a statistic that reaches ``omega_j`` has
-reached every lower threshold at that step or earlier: the thresholds a
-path has crossed are always a prefix of the grid, and one count per path
-records them.  A path is censored at exactly the thresholds past its count.
+reproducible for a fixed stream.  A shard draws its observations in blocks
+of steps, one ``sample`` call per block: 8 steps, doubling to 256, clipped
+at the cap, laid out step-major.  A sampler that pays a burn-in per call
+(Gibbs, Langevin) pays it once per block, and the increments are still
+scored one step at a time, on the live paths only.
+
+A single pass records the first crossing of every threshold in a grid at
+once; a single threshold is a one-point grid.  The grid is sorted, so a
+statistic that reaches ``omega_j`` has reached every lower threshold at
+that step or earlier: the thresholds a path has crossed are always a prefix
+of the grid, and one count per path records them.  A path is censored at
+exactly the thresholds past its count.
 """
 
 import csv
@@ -32,6 +38,9 @@ __all__ = [
 ]
 
 _SHARD_PATHS = 256  # fixed shard width; part of the determinism contract
+# block lengths in steps: 8, doubling to 256, one ``sample`` call per block;
+# part of the determinism contract
+_FIRST_BLOCK, _LAST_BLOCK = 8, 256
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,8 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
     ``crossed[i]`` counts the thresholds path ``i`` crossed, which are the
     first ``crossed[i]`` of the ascending grid.  A path retires once it has
     crossed the largest threshold.  Shards have a fixed width and their own
-    substreams, so the result depends only on ``stream``.
+    substreams, and blocks a fixed schedule, so the result depends only on
+    ``stream``.
     """
     n_omega = omegas.size
     times = np.full((paths, n_omega), cap, dtype=np.int64)
@@ -91,22 +101,32 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
         gen = stream.substream(shard_index).generator()
         alive = np.arange(start, min(start + _SHARD_PATHS, paths))
         stat = np.zeros(alive.size)
-        for n in range(1, cap + 1):
-            draws = model.sample(alive.size, gen)
-            stat = np.maximum(stat + np.asarray(batch_scores(detector, draws)), 0.0)
-            level = np.searchsorted(omegas, stat, side="right")
-            low = crossed[alive]
-            rose = level > low
-            if rose.any():
-                rows, top = alive[rose], level[rose]
-                # the new crossings of each rising row are columns [low, top)
-                hit, col = np.nonzero((columns >= low[rose, None]) & (columns < top[:, None]))
-                times[rows[hit], col] = n
-                crossed[rows] = top
-                keep = level < n_omega
-                alive, stat = alive[keep], stat[keep]
-                if alive.size == 0:
-                    break
+        n, length = 0, _FIRST_BLOCK
+        while alive.size and n < cap:
+            steps = min(length, cap - n)
+            # step-major: step t of the block is rows [t * width, (t + 1) * width)
+            block = model.sample(steps * alive.size, gen).reshape(steps, alive.size, -1)
+            live = None  # block columns of the live paths, once one has retired
+            for t in range(steps):
+                n += 1
+                draws = block[t] if live is None else block[t, live]
+                stat = np.maximum(stat + np.asarray(batch_scores(detector, draws)), 0.0)
+                level = np.searchsorted(omegas, stat, side="right")
+                low = crossed[alive]
+                rose = level > low
+                if rose.any():
+                    rows, top = alive[rose], level[rose]
+                    # the new crossings of each rising row are columns [low, top)
+                    hit, col = np.nonzero((columns >= low[rose, None]) & (columns < top[:, None]))
+                    times[rows[hit], col] = n
+                    crossed[rows] = top
+                    keep = level < n_omega
+                    if not keep.all():
+                        alive, stat = alive[keep], stat[keep]
+                        live = np.flatnonzero(keep) if live is None else live[keep]
+                        if alive.size == 0:
+                            break
+            length = min(2 * length, _LAST_BLOCK)
     return times, crossed
 
 

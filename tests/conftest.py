@@ -1,6 +1,9 @@
 """Shared fixtures: the two-vertex Gaussian reference geometry used across
-the suite, a Gauss-Bernoulli RBM family builder, and small finite-difference
-oracles for score and Laplacian checks."""
+the suite, a Gauss-Bernoulli RBM family builder, the exact run length of
+Gaussian increments, and small finite-difference oracles for score and
+Laplacian checks."""
+
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +68,40 @@ def drift_stats(data_mean, mean_inf, mean_post, cov=V_REF):
     c = 0.5 * float(mean_inf @ vinv @ vinv @ mean_inf
                     - mean_post @ vinv @ vinv @ mean_post)
     return float(a @ np.asarray(data_mean) + c), float(a @ cov @ a)
+
+
+def gaussian_run_length(mean, var, omega, tol=1e-6):
+    """Exact mean run length of the reflected recursion
+    ``Z_n = max(Z_{n-1} + z_n, 0)`` from ``Z_0 = 0`` to the first
+    ``Z_n >= omega``, for i.i.d. increments ``z ~ N(mean, var)``.
+
+    ``L(u)``, the mean run length from ``Z_0 = u``, solves Page's integral
+    equation ``L(u) = 1 + L(0) F(-u) + int_0^omega L(v) f(v - u) dv``
+    (Page 1954; Goel and Wu 1971), and the answer is ``L(0)``.  Nystrom
+    solve on composite Gauss-Legendre panels no wider than the increment's
+    standard deviation; the nodes per panel double from 4 until ``L(0)``
+    moves by at most ``tol`` relative.
+    """
+    if omega == 0:
+        return 1.0  # Z_1 >= 0 always
+    sd = math.sqrt(var)
+    edges = np.linspace(0.0, omega, math.ceil(omega / sd) + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    previous = None
+    for per_panel in (4, 8, 16):
+        x, w = np.polynomial.legendre.leggauss(per_panel)
+        nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+        u = np.concatenate(([0.0], nodes))  # unknowns L(0), L(nodes)
+        a = np.empty((u.size, u.size))
+        a[:, 0] = [-0.5 * math.erfc((ui + mean) / (sd * math.sqrt(2.0))) for ui in u]
+        t = (nodes[None, :] - u[:, None] - mean) / sd
+        a[:, 1:] = -(half * w).ravel() * np.exp(-0.5 * t * t) / (sd * math.sqrt(2.0 * math.pi))
+        a[np.diag_indices_from(a)] += 1.0
+        value = float(np.linalg.solve(a, np.ones(u.size))[0])
+        if previous is not None and abs(value - previous) <= tol * value:
+            return value
+        previous = value
+    raise AssertionError(f"run length at omega={omega} did not converge: {previous}")
 
 
 def make_rbm_family(stream: RngStream, n_visible=10, n_hidden=8):

@@ -10,13 +10,15 @@ isolation.
 import csv
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from conftest import (GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A,
                       MEAN_POST_B, TRACE_VINV, V_REF, assert_laplacians_match,
-                      assert_scores_match, drift_stats, make_rbm_family)
+                      assert_scores_match, drift_stats, gaussian_run_length,
+                      make_rbm_family)
 from scoredetect import (BetaNetwork, DetectorConfig, Gaussian,
                          GaussianMixture, LangevinConfig, MeanPolytope,
                          RngStream, ScoreMixture, TrainConfig,
@@ -312,31 +314,48 @@ def test_criterion_10_rbm_experiment():
 
 ROBUST_OMEGAS = (0.66, 1.21, 1.98, 3.08, 4.18, 5.28)
 NONROBUST_OMEGAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+SHAPE_SWEEPS = (
+    ("robust", DetectorConfig(INF_A, POST_A, omega=0.0, rho=RHO_STAR), ROBUST_OMEGAS),
+    ("nonrobust", DET_FAR, NONROBUST_OMEGAS),
+)
 
 
 def run_shape_sweeps(seed, tmp_path):
-    """Matched-ARL EDD curves: robust detector (identified pair, rho*)
-    against the far-pair detector on the same data."""
+    """Matched-ARL sweeps, as read back from their CSVs: the robust
+    detector (identified pair, rho*) against the far-pair detector on the
+    same data."""
     stream = RngStream(seed)
-    robust = DetectorConfig(INF_A, POST_A, omega=0.0, rho=RHO_STAR)
-    nonrobust = DetectorConfig(INF_B, POST_B, omega=0.0, rho=1.0)
-    curves = {}
-    for k, (name, det, omegas) in enumerate((
-            ("robust", robust, ROBUST_OMEGAS),
-            ("nonrobust", nonrobust, NONROBUST_OMEGAS))):
+    sweeps = {}
+    for k, (name, det, omegas) in enumerate(SHAPE_SWEEPS):
         rows = arl_edd_sweep(INF_A, POST_A, det, omegas, arl_paths=2000,
                              edd_paths=5000, cap=100000, rng=stream.substream(k))
         path = tmp_path / f"{name}_sweep.csv"
         write_sweep_csv(rows, path)
         with open(path, newline="") as handle:
-            read = list(csv.DictReader(handle))
-        curves[name] = (np.array([float(r["arl"]) for r in read]),
-                        np.array([float(r["edd"]) for r in read]))
-    return curves
+            sweeps[name] = [{key: float(v) for key, v in r.items()}
+                            for r in csv.DictReader(handle)]
+    return sweeps
 
 
 def test_criterion_11_matched_arl_ordering(tmp_path):
-    curves = run_shape_sweeps(SEEDS["shape"], tmp_path)
+    sweeps = run_shape_sweeps(SEEDS["shape"], tmp_path)
+    # every row against the exact run length of its Gaussian increments:
+    # two-sided, Bonferroni over all rows at family level 1%
+    tested = 2 * sum(map(len, sweeps.values()))  # an ARL and an EDD per omega
+    z_max = NormalDist().inv_cdf(1.0 - 0.01 / (2 * tested))
+    worst = 0.0
+    for name, det, _ in SHAPE_SWEEPS:
+        for row in sweeps[name]:
+            for col, law in (("arl", INF_A), ("edd", POST_A)):
+                assert row[f"{col}_censored"] == 0, (name, col, row["omega"])
+                exact = gaussian_run_length(*closed_form_drift(det, law), row["omega"])
+                z = (row[col] - exact) / row[f"{col}_stderr"]
+                worst = max(worst, abs(z))
+                assert abs(z) <= z_max, (name, col, row["omega"], row[col], exact)
+    print(f"{tested} ARL and EDD rows: largest |z| against the exact run "
+          f"lengths {worst:.2f} (bound {z_max:.2f})")
+    curves = {name: (np.array([r["arl"] for r in rows]), np.array([r["edd"] for r in rows]))
+              for name, rows in sweeps.items()}
     arl_r, edd_r = curves["robust"]
     arl_n, edd_n = curves["nonrobust"]
     assert np.all(np.diff(arl_r) > 0) and np.all(np.diff(arl_n) > 0)

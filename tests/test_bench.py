@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GAP_NEAR, drift_stats
-from scoredetect import (DetectorConfig, RngStream, arl_edd_sweep,
+from conftest import GAP_NEAR, drift_stats, make_rbm_family
+from scoredetect import (DetectorConfig, Gaussian, RngStream, arl_edd_sweep,
                          estimate_drift, run_lengths, write_sweep_csv)
+from scoredetect import bench
 from scoredetect.bench import SWEEP_COLUMNS, _first_crossings
 
 
@@ -146,6 +147,84 @@ def test_grid_pass_matches_one_threshold_at_a_time(detector, inf_a, post_a):
         assert np.all(alone_times[alone_censored] == cap)
         assert np.all(times[:, -1] == cap) and rows[-1].censored == paths
         assert alone_censored.any() and not alone_censored.all()
+
+
+# ---------------------------------------------------------------------------
+# block sampling
+
+
+def record_shards(monkeypatch, law):
+    """Row counts of every ``law.sample`` and ``bench.batch_scores`` call,
+    per shard in order; a shard is known by the generator it samples with."""
+    shards = []
+    sample, score = law.sample, bench.batch_scores
+
+    def counted_sample(n, gen):
+        if not shards or shards[-1]["gen"] is not gen:
+            shards.append({"gen": gen, "sample": [], "scored": []})
+        shards[-1]["sample"].append(n)
+        return sample(n, gen)
+
+    def counted_scores(detector, x):
+        shards[-1]["scored"].append(len(x))
+        return score(detector, x)
+
+    monkeypatch.setattr(law, "sample", counted_sample)
+    monkeypatch.setattr(bench, "batch_scores", counted_scores)
+    return shards
+
+
+def test_blocks_keep_one_increment_batch_per_step_on_the_live_paths(monkeypatch, detector, inf_a):
+    # three shards, the last one partial; some paths retire, some are
+    # censored, and the cap runs past the first 256-step block
+    law = Gaussian(inf_a.mean, inf_a.cov)
+    shards = record_shards(monkeypatch, law)
+    paths, cap = 600, 700
+    times, _ = _first_crossings(law, detector, np.array([1.0, 3.0]), paths, cap,
+                                RngStream(917))
+    stops = times[:, -1]  # min(T_top, cap): the steps each path was scored
+    assert 0 < (stops == cap).sum() < paths
+    assert len(shards) == math.ceil(paths / 256)
+    for k, shard in enumerate(shards):
+        mine = stops[256 * k:256 * (k + 1)]
+        assert len(shard["sample"]) <= 6 + math.ceil(cap / 256)
+        # one increment batch per step, on exactly the paths still alive
+        assert shard["scored"] == [int((mine >= n).sum()) for n in range(1, mine.max() + 1)]
+        # blocks of 8 steps doubling to 256, clipped at the cap, each drawn
+        # for the paths alive at its start
+        want, n, length = [], 0, 8
+        while (mine > n).any():
+            steps = min(length, cap - n)
+            want.append(steps * int((mine > n).sum()))
+            n, length = n + steps, min(2 * length, 256)
+        assert shard["sample"] == want
+    assert sum(sum(shard["scored"]) for shard in shards) == stops.sum()
+
+
+@pytest.mark.parametrize("paths", [256, 2])
+def test_increments_along_a_path_are_uncorrelated(monkeypatch, paths):
+    # Gibbs draws of one chain land side by side in a block; with fewer
+    # live paths than draws per chain, consecutive steps of one path come
+    # from one chain a few thinning intervals apart
+    basis_inf, basis_post = make_rbm_family(RngStream(918))
+    law = basis_inf[1]
+    det = DetectorConfig(basis_inf[1], basis_post[0], omega=0.0, rho=1.0)
+    increments, score = [], bench.batch_scores
+
+    def recorded(detector, x):
+        z = np.asarray(score(detector, x))
+        increments.append(z)
+        return z
+
+    monkeypatch.setattr(bench, "batch_scores", recorded)
+    cap = 300
+    out, = run_lengths(law, det, [1e9], paths, cap, RngStream(919))
+    assert out.censored == paths  # no path retires, so step n scores every path
+    z = np.stack(increments, axis=1)
+    assert z.shape == (paths, cap)
+    z = z - z.mean()
+    lag1 = float((z[:, :-1] * z[:, 1:]).sum() / (z * z).sum())
+    assert abs(lag1) <= 3.0 / math.sqrt(paths * (cap - 1))
 
 
 # ---------------------------------------------------------------------------
