@@ -97,10 +97,12 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
     times = np.full((paths, n_omega), cap, dtype=np.int64)
     crossed = np.zeros(paths, dtype=np.int64)
     columns = np.arange(n_omega)
+    bounds = np.append(omegas, np.inf)  # bounds[k]: the next threshold after k crossings
     for shard_index, start in enumerate(range(0, paths, _SHARD_PATHS)):
         gen = stream.substream(shard_index).generator()
         alive = np.arange(start, min(start + _SHARD_PATHS, paths))
         stat = np.zeros(alive.size)
+        nxt = np.full(alive.size, bounds[0])  # each live path's next threshold
         n, length = 0, _FIRST_BLOCK
         while alive.size and n < cap:
             steps = min(length, cap - n)
@@ -110,19 +112,21 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
             for t in range(steps):
                 n += 1
                 draws = block[t] if live is None else block[t, live]
-                stat = np.maximum(stat + np.asarray(batch_scores(detector, draws)), 0.0)
-                level = np.searchsorted(omegas, stat, side="right")
-                low = crossed[alive]
-                rose = level > low
+                stat += batch_scores(detector, draws)
+                np.maximum(stat, 0.0, out=stat)
+                rose = stat >= nxt
                 if rose.any():
-                    rows, top = alive[rose], level[rose]
+                    rows = alive[rose]
+                    low = crossed[rows]
+                    top = np.searchsorted(omegas, stat[rose], side="right")
                     # the new crossings of each rising row are columns [low, top)
-                    hit, col = np.nonzero((columns >= low[rose, None]) & (columns < top[:, None]))
+                    hit, col = np.nonzero((columns >= low[:, None]) & (columns < top[:, None]))
                     times[rows[hit], col] = n
                     crossed[rows] = top
-                    keep = level < n_omega
-                    if not keep.all():
-                        alive, stat = alive[keep], stat[keep]
+                    nxt[rose] = bounds[top]
+                    if (top == n_omega).any():
+                        keep = nxt < np.inf
+                        alive, stat, nxt = alive[keep], stat[keep], nxt[keep]
                         live = np.flatnonzero(keep) if live is None else live[keep]
                         if alive.size == 0:
                             break

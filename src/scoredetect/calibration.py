@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectorConfig, batch_scores
+from .detectors import DetectorConfig, affine_increment, batch_scores
 from .models import Gaussian
 
 __all__ = [
@@ -122,7 +122,8 @@ def mgf_gap(p_inf, q_inf, q_post, rho: float, n: int, rng):
 
 
 def _closed_form(p_inf, q_inf, q_post):
-    """For Gaussians sharing ``V`` the increment is linear in ``x``, so
+    """For Gaussians sharing ``V`` the increment is affine in ``x`` (the
+    detector's own ``affine_increment`` at ``rho = 1``), so
     ``h`` is a log-normal MGF minus one and the root is ``-2 m / s^2`` with
     ``m``, ``s^2`` the increment mean and variance under ``p_inf``."""
     models = (p_inf, q_inf, q_post)
@@ -131,15 +132,9 @@ def _closed_form(p_inf, q_inf, q_post):
         raise CalibrationError(
             "closed-form calibration needs Gaussian models with a shared covariance"
         )
-    cov, vinv = p_inf.cov, p_inf.cov_inv
-    diff = q_post.mean - q_inf.mean
-    coef = vinv @ vinv @ diff
-    const = 0.5 * float(
-        q_inf.mean @ vinv @ vinv @ q_inf.mean
-        - q_post.mean @ vinv @ vinv @ q_post.mean
-    )
+    coef, const = affine_increment(p_inf.cov_inv, q_inf.mean, q_post.mean)
     mean = float(coef @ p_inf.mean) + const
-    var = float(coef @ cov @ coef)
+    var = float(coef @ p_inf.cov @ coef)
     if mean >= 0:
         raise DriftSignError(
             "nearness assumption violated: pre-change drift is non-negative"

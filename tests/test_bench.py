@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GAP_NEAR, drift_stats, make_rbm_family
-from scoredetect import (DetectorConfig, Gaussian, RngStream, arl_edd_sweep,
+from scoredetect import (DetectorConfig, Gaussian, RngStream, arl_edd_sweep, batch_scores,
                          estimate_drift, run_lengths, write_sweep_csv)
 from scoredetect import bench
 from scoredetect.bench import SWEEP_COLUMNS, _first_crossings
@@ -199,6 +199,61 @@ def test_blocks_keep_one_increment_batch_per_step_on_the_live_paths(monkeypatch,
             n, length = n + steps, min(2 * length, 256)
         assert shard["sample"] == want
     assert sum(sum(shard["scored"]) for shard in shards) == stops.sum()
+
+
+def replay_first_crossings(blocks, detector, omegas, paths, cap):
+    """``(times, crossed)`` from each path's scalar recursion on its own
+    column of the recorded blocks: shards of 256 paths, each block laid out
+    step-major over the paths still alive at its start."""
+    times = np.full((paths, omegas.size), cap, dtype=np.int64)
+    crossed = np.zeros(paths, dtype=np.int64)
+    blocks = iter(blocks)
+    for start in range(0, paths, 256):
+        alive = list(range(start, min(start + 256, paths)))
+        stat = dict.fromkeys(alive, 0.0)
+        n = 0
+        while alive and n < cap:
+            block = next(blocks)
+            steps = len(block) // len(alive)
+            assert steps * len(alive) == len(block)
+            # rows score alike in any batch, so one call covers the block
+            z = batch_scores(detector, block).reshape(steps, len(alive))
+            for j, i in enumerate(alive):
+                for t in range(steps):
+                    if crossed[i] == omegas.size:
+                        break
+                    stat[i] = max(stat[i] + float(z[t, j]), 0.0)
+                    while crossed[i] < omegas.size and stat[i] >= omegas[crossed[i]]:
+                        times[i, crossed[i]] = n + t + 1
+                        crossed[i] += 1
+            n += steps
+            alive = [i for i in alive if crossed[i] < omegas.size]
+    assert next(blocks, None) is None  # every block drawn was replayed
+    return times, crossed
+
+
+def test_first_crossings_match_a_per_path_replay(monkeypatch, detector, inf_a, post_a):
+    omegas, paths, cap = np.array([0.5, 1.0, 2.0, 3.0]), 600, 300
+    all_retired = []
+    for mean in (inf_a.mean, post_a.mean):
+        law, blocks = Gaussian(mean, inf_a.cov), []
+        sample = law.sample
+
+        def recorded(n, gen):
+            out = sample(n, gen)
+            blocks.append(out.copy())
+            return out
+
+        monkeypatch.setattr(law, "sample", recorded)
+        times, crossed = _first_crossings(law, detector, omegas, paths, cap, RngStream(920))
+        want_times, want_crossed = replay_first_crossings(blocks, detector, omegas, paths, cap)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(crossed, want_crossed)
+        assert (crossed == omegas.size).any()
+        all_retired.append(bool((crossed == omegas.size).all()))
+    # pre-change paths are censored part-way along the grid; post-change
+    # paths all retire, most of them inside a block
+    assert all_retired == [False, True]
 
 
 @pytest.mark.parametrize("paths", [256, 2])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GAP_NEAR, drift_stats, fd_divergence, make_rbm_family
 from scoredetect import (BetaNetwork, DetectorConfig, DetectorState, Gaussian,
-                         Gbrbm, ModelError, RngStream, ScoreMixture,
+                         GaussianMixture, Gbrbm, ModelError, RngStream, ScoreMixture,
                          batch_scores, cusum_log_lr_step, step)
 
 
@@ -68,6 +68,76 @@ def test_batch_scores_match_the_loop(inf_a, post_a):
     assert np.allclose(batch, loop, atol=1e-12)
     single = np.array([batch_scores(cfg, x) for x in xs])
     assert np.allclose(batch, single, atol=1e-12)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def kernel_increments(cfg, x):
+    """The generic increment: two Hyvarinen kernels."""
+    return cfg.rho * (cfg.model_inf.hyvarinen(x) - cfg.model_post.hyvarinen(x))
+
+
+def shared_pair(seed, d, rho):
+    """Two Gaussians with random means and one random covariance."""
+    gen = RngStream(seed).generator()
+    root = gen.standard_normal((d, d))
+    cov = root @ root.T / d + 0.5 * np.eye(d)
+    return DetectorConfig(Gaussian(gen.standard_normal(d), cov),
+                          Gaussian(gen.standard_normal(d), cov.copy()), omega=1.0, rho=rho)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_shared_covariance_rows_score_alike_in_every_batch(d):
+    # a row's increment does not depend on the batch it is scored in, so
+    # file-fed and pipe-fed detect and the bench blocks agree bit for bit
+    cfg = shared_pair(611 + d, d, rho=2.2)
+    xs = 3.0 * RngStream(612 + d).generator().standard_normal((4096, d))
+    singles = np.array([batch_scores(cfg, x) for x in xs])  # (d,) rows
+    for size in (1, 2, 3, 5, 17, 255, 256, 257, 4096):
+        assert same_bits(batch_scores(cfg, xs[:size]), singles[:size]), size
+    # a step-major (steps, paths, d) block, and a column-major batch
+    assert same_bits(batch_scores(cfg, xs.reshape(16, 256, d)), singles.reshape(16, 256))
+    assert same_bits(batch_scores(cfg, np.asfortranarray(xs)), singles)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.2])
+def test_affine_increment_matches_the_hyvarinen_kernels(d, rho):
+    for seed in range(621, 626):
+        cfg = shared_pair(seed, d, rho)
+        xs = 3.0 * RngStream(seed + 100).generator().standard_normal((256, d))
+        got = batch_scores(cfg, xs)
+        hyv_inf, hyv_post = cfg.model_inf.hyvarinen(xs), cfg.model_post.hyvarinen(xs)
+        # relative to the kernels, whose difference cancels
+        scale = rho * (np.abs(hyv_inf) + np.abs(hyv_post))
+        assert np.all(np.abs(got - rho * (hyv_inf - hyv_post)) <= 1e-12 * scale)
+        assert not same_bits(got, kernel_increments(cfg, xs))  # the affine form ran
+
+
+def test_other_pairs_keep_the_two_kernels(inf_a, post_a):
+    # each pair is affine in x, but only Gaussians of one bitwise covariance
+    # take the affine form
+    nudged = Gaussian(post_a.mean, post_a.cov + 1e-13 * np.array([[1.0, 0.5], [0.5, 1.0]]))
+    pairs = [
+        (inf_a, nudged),
+        (GaussianMixture([inf_a], [1.0]), GaussianMixture([post_a], [1.0])),
+        (Gaussian([0.0, 0.0], np.eye(2)), Gbrbm(np.zeros((2, 3)), np.ones(2), np.zeros(3))),
+    ]
+    xs = 3.0 * RngStream(631).generator().standard_normal((256, 2))
+    for q, p in pairs:
+        cfg = DetectorConfig(q, p, omega=1.0, rho=1.3)
+        assert same_bits(batch_scores(cfg, xs), kernel_increments(cfg, xs))
+        assert same_bits(batch_scores(cfg, xs[0]), kernel_increments(cfg, xs[0]))
+
+
+def test_affine_path_checks_its_points(inf_a, post_a):
+    cfg = DetectorConfig(inf_a, post_a, omega=1.0)
+    for bad in ([np.nan, 0.0], [[0.0, 0.0], [0.0, np.inf]], [0.0, 0.0, 0.0], np.zeros((4, 3)), 1.0):
+        with pytest.raises(ModelError):
+            batch_scores(cfg, bad)
 
 
 def test_constant_increment_walk_stops_on_schedule():
