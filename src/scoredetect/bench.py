@@ -1,13 +1,15 @@
 """Monte Carlo benchmark harness: drift, average run length (ARL), and
 expected detection delay (EDD) for score-based CUSUM detectors.
 
-Paths are simulated in fixed-size shards that advance in lockstep, each
-shard drawing from its own deterministic substream, so results are exactly
-reproducible for a fixed stream.  A shard draws its observations in blocks
-of steps, one ``sample`` call per block: 8 steps, doubling to 256, clipped
-at the cap, laid out step-major.  A sampler that pays a burn-in per call
-(Gibbs, Langevin) pays it once per block, and the increments are still
-scored one step at a time, on the live paths only.
+Paths are simulated in fixed-size shards of 256, each drawing from its own
+deterministic substream, so results are exactly reproducible for a fixed
+stream.  A shard draws its observations in blocks of steps, one ``sample``
+call per block: 8 steps, doubling to 256, clipped at the cap, laid out
+step-major, so a Gibbs or Langevin sampler pays its burn-in once per block.
+Shards advance in lockstep groups of up to 4096 paths: at each block every
+shard of a group draws for its own live paths, and the group's increments
+are scored in one batch per step, on the live paths only.  The group size
+changes no draw.
 
 A single pass records the first crossing of every threshold in a grid at
 once; a single threshold is a one-point grid.  The grid is sorted, so a
@@ -41,6 +43,8 @@ _SHARD_PATHS = 256  # fixed shard width; part of the determinism contract
 # block lengths in steps: 8, doubling to 256, one ``sample`` call per block;
 # part of the determinism contract
 _FIRST_BLOCK, _LAST_BLOCK = 8, 256
+# paths per lockstep group, a multiple of the shard width; it changes no draw
+_LOCKSTEP_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,24 +94,31 @@ def _first_crossings(model, detector: DetectorConfig, omegas: np.ndarray,
     ``crossed[i]`` counts the thresholds path ``i`` crossed, which are the
     first ``crossed[i]`` of the ascending grid.  A path retires once it has
     crossed the largest threshold.  Shards have a fixed width and their own
-    substreams, and blocks a fixed schedule, so the result depends only on
-    ``stream``.
+    substreams, and blocks a schedule fixed by the step, so the blocks of a
+    lockstep group line up and the result depends only on ``stream``.
     """
     n_omega = omegas.size
     times = np.full((paths, n_omega), cap, dtype=np.int64)
     crossed = np.zeros(paths, dtype=np.int64)
     columns = np.arange(n_omega)
     bounds = np.append(omegas, np.inf)  # bounds[k]: the next threshold after k crossings
-    for shard_index, start in enumerate(range(0, paths, _SHARD_PATHS)):
-        gen = stream.substream(shard_index).generator()
-        alive = np.arange(start, min(start + _SHARD_PATHS, paths))
+    for first in range(0, paths, _LOCKSTEP_PATHS):
+        alive = np.arange(first, min(first + _LOCKSTEP_PATHS, paths))
+        starts = alive[::_SHARD_PATHS]  # the first path of each shard
+        gens = [stream.substream(s // _SHARD_PATHS).generator() for s in starts.tolist()]
         stat = np.zeros(alive.size)
         nxt = np.full(alive.size, bounds[0])  # each live path's next threshold
         n, length = 0, _FIRST_BLOCK
         while alive.size and n < cap:
             steps = min(length, cap - n)
-            # step-major: step t of the block is rows [t * width, (t + 1) * width)
-            block = model.sample(steps * alive.size, gen).reshape(steps, alive.size, -1)
+            # shard s draws step-major for its own live paths, which are the
+            # columns [cuts[s], cuts[s + 1]) of the group's block
+            cuts = np.append(np.searchsorted(alive, starts), alive.size)
+            block = np.empty((steps, alive.size, model.dim))
+            for gen, lo, hi in zip(gens, cuts[:-1], cuts[1:]):
+                if hi > lo:  # a shard with no live path draws nothing
+                    part = model.sample(steps * (hi - lo), gen)
+                    block[:, lo:hi] = part.reshape(steps, hi - lo, -1)
             live = None  # block columns of the live paths, once one has retired
             for t in range(steps):
                 n += 1

@@ -154,61 +154,90 @@ def test_grid_pass_matches_one_threshold_at_a_time(detector, inf_a, post_a):
 
 
 def record_shards(monkeypatch, law):
-    """Row counts of every ``law.sample`` and ``bench.batch_scores`` call,
-    per shard in order; a shard is known by the generator it samples with."""
-    shards = []
+    """Row counts of every ``law.sample`` call, per shard in the order the
+    shards first draw (a shard is known by the generator it samples with),
+    and of every ``bench.batch_scores`` call, in order."""
+    shards, scored = {}, []
     sample, score = law.sample, bench.batch_scores
 
     def counted_sample(n, gen):
-        if not shards or shards[-1]["gen"] is not gen:
-            shards.append({"gen": gen, "sample": [], "scored": []})
-        shards[-1]["sample"].append(n)
+        shards.setdefault(gen, []).append(n)
         return sample(n, gen)
 
     def counted_scores(detector, x):
-        shards[-1]["scored"].append(len(x))
+        scored.append(len(x))
         return score(detector, x)
 
     monkeypatch.setattr(law, "sample", counted_sample)
     monkeypatch.setattr(bench, "batch_scores", counted_scores)
-    return shards
+    return shards, scored
 
 
 def test_blocks_keep_one_increment_batch_per_step_on_the_live_paths(monkeypatch, detector, inf_a):
-    # three shards, the last one partial; some paths retire, some are
-    # censored, and the cap runs past the first 256-step block
+    # three shards of one lockstep group, the last one partial; some paths
+    # retire, some are censored, and the cap runs past the first 256-step block
     law = Gaussian(inf_a.mean, inf_a.cov)
-    shards = record_shards(monkeypatch, law)
+    shards, scored = record_shards(monkeypatch, law)
     paths, cap = 600, 700
     times, _ = _first_crossings(law, detector, np.array([1.0, 3.0]), paths, cap,
                                 RngStream(917))
     stops = times[:, -1]  # min(T_top, cap): the steps each path was scored
     assert 0 < (stops == cap).sum() < paths
     assert len(shards) == math.ceil(paths / 256)
-    for k, shard in enumerate(shards):
+    for k, calls in enumerate(shards.values()):
         mine = stops[256 * k:256 * (k + 1)]
-        assert len(shard["sample"]) <= 6 + math.ceil(cap / 256)
-        # one increment batch per step, on exactly the paths still alive
-        assert shard["scored"] == [int((mine >= n).sum()) for n in range(1, mine.max() + 1)]
+        assert len(calls) <= 6 + math.ceil(cap / 256)
         # blocks of 8 steps doubling to 256, clipped at the cap, each drawn
-        # for the paths alive at its start
+        # for the shard's paths alive at its start
         want, n, length = [], 0, 8
         while (mine > n).any():
             steps = min(length, cap - n)
             want.append(steps * int((mine > n).sum()))
             n, length = n + steps, min(2 * length, 256)
-        assert shard["sample"] == want
-    assert sum(sum(shard["scored"]) for shard in shards) == stops.sum()
+        assert calls == want
+    # one increment batch per step for the whole group, on exactly the
+    # paths still alive
+    assert scored == [int((stops >= n).sum()) for n in range(1, stops.max() + 1)]
+    assert sum(scored) == stops.sum()
 
 
-def replay_first_crossings(blocks, detector, omegas, paths, cap):
+def test_lockstep_group_size_changes_no_draw(monkeypatch, detector, inf_a, post_a):
+    # 5000 paths make two lockstep groups; groups of 256 advance one shard
+    # at a time, and 8192 takes every path in one group
+    assert detector._affine is not None  # a row scores alike in any batch
+    omegas, paths, cap = np.array([1.0, 3.0]), 5000, 40
+    scored, score = [], bench.batch_scores
+
+    def counted_scores(detector, x):
+        scored.append(len(x))
+        return score(detector, x)
+
+    monkeypatch.setattr(bench, "batch_scores", counted_scores)
+    for law in (inf_a, post_a):
+        runs = []
+        for group in (bench._LOCKSTEP_PATHS, 256, 8192):
+            monkeypatch.setattr(bench, "_LOCKSTEP_PATHS", group)
+            scored.clear()
+            runs.append(_first_crossings(law, detector, omegas, paths, cap, RngStream(921)))
+            # the first step of the first group scores all of its paths
+            assert max(scored) == min(group, paths)
+        times, crossed = runs[0]
+        assert (crossed == omegas.size).any() and (crossed < omegas.size).any()
+        for other_times, other_crossed in runs[1:]:
+            assert np.array_equal(other_times, times)
+            assert np.array_equal(other_crossed, crossed)
+
+
+def replay_first_crossings(shard_blocks, detector, omegas, paths, cap):
     """``(times, crossed)`` from each path's scalar recursion on its own
-    column of the recorded blocks: shards of 256 paths, each block laid out
-    step-major over the paths still alive at its start."""
+    column of the recorded blocks: shards of 256 paths, ``shard_blocks[k]``
+    the blocks of shard ``k`` in order, each laid out step-major over the
+    shard's paths alive at its start."""
     times = np.full((paths, omegas.size), cap, dtype=np.int64)
     crossed = np.zeros(paths, dtype=np.int64)
-    blocks = iter(blocks)
-    for start in range(0, paths, 256):
+    assert len(shard_blocks) == math.ceil(paths / 256)
+    for start, blocks in zip(range(0, paths, 256), shard_blocks):
+        blocks = iter(blocks)
         alive = list(range(start, min(start + 256, paths)))
         stat = dict.fromkeys(alive, 0.0)
         n = 0
@@ -228,7 +257,7 @@ def replay_first_crossings(blocks, detector, omegas, paths, cap):
                         crossed[i] += 1
             n += steps
             alive = [i for i in alive if crossed[i] < omegas.size]
-    assert next(blocks, None) is None  # every block drawn was replayed
+        assert next(blocks, None) is None  # every block the shard drew was replayed
     return times, crossed
 
 
@@ -236,17 +265,18 @@ def test_first_crossings_match_a_per_path_replay(monkeypatch, detector, inf_a, p
     omegas, paths, cap = np.array([0.5, 1.0, 2.0, 3.0]), 600, 300
     all_retired = []
     for mean in (inf_a.mean, post_a.mean):
-        law, blocks = Gaussian(mean, inf_a.cov), []
+        law, blocks = Gaussian(mean, inf_a.cov), {}
         sample = law.sample
 
         def recorded(n, gen):
             out = sample(n, gen)
-            blocks.append(out.copy())
+            blocks.setdefault(gen, []).append(out.copy())  # by shard, in order
             return out
 
         monkeypatch.setattr(law, "sample", recorded)
         times, crossed = _first_crossings(law, detector, omegas, paths, cap, RngStream(920))
-        want_times, want_crossed = replay_first_crossings(blocks, detector, omegas, paths, cap)
+        want_times, want_crossed = replay_first_crossings(list(blocks.values()), detector,
+                                                          omegas, paths, cap)
         assert np.array_equal(times, want_times)
         assert np.array_equal(crossed, want_crossed)
         assert (crossed == omegas.size).any()
