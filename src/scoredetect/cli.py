@@ -6,8 +6,11 @@ section per subcommand; randomized commands additionally need an explicit
 seed (``--seed`` or a ``seed`` entry).  Outputs are written under ``--out``
 and are byte-identical for a fixed config and seed.
 
-``detect`` scores a regular file ``_DETECT_CHUNK`` lines per ``batch_scores``
-call and a pipe one observation per call, then steps once per observation.
+``detect`` scores a regular file ``_DETECT_CHUNK`` observations per
+``batch_scores`` call and a pipe one observation per call, then steps once per
+observation.  numpy's C reader parses each file block into the same doubles as
+``float``; a block it rejects is parsed line by line, so the accepted syntax is
+unchanged and a bad line is named by the same per-line parse as on a pipe.
 
 Exit codes: 0 success (including "no alarm" and degenerate calibration),
 2 input or config errors (``ConfigError``, ``ModelError`` and
@@ -40,8 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 
-# lines per batch_scores call on a seekable detect input; a batch can round an
-# increment differently from a row, so the width is in the determinism contract
+# observations (non-blank lines) per batch_scores call on a seekable detect
+# input; a batch can round an increment differently from a row, so the width is
+# in the determinism contract
 _DETECT_CHUNK = 4096
 
 
@@ -159,7 +163,7 @@ def _detector_from(table, desc, context):
 def cmd_lfd(cfg, args):
     section = _object(_require(cfg, "lfd", "top level"), "lfd")
     table = _models_table(cfg)
-    verify = _object(section.get("verify") or {}, "lfd.verify")
+    verify = _object(section.get("verify", {}), "lfd.verify")
     verify_n = _field(verify, "lfd.verify", "n", 50000, 2)
     method = section.get("method", "analytic")
     verify_basis = None  # an analytic pair is checked against its pre-change vertices
@@ -275,8 +279,9 @@ def _bench_trial(table, trial, i):
     sizes = {key: _field(trial, f"bench.trials[{i}]", key, default, 2 if key == "drift_n" else 1)
              for key, default in (("drift_n", 50000), ("arl_paths", 2000), ("edd_paths", 5000),
                                   ("cap", 100000))}
+    omegas = _array(trial.get("omegas", []), f"bench.trials[{i}].omegas")
     try:  # a trial without thresholds reports its drifts only
-        omegas = threshold_grid(trial["omegas"]) if trial.get("omegas") else None
+        omegas = threshold_grid(omegas) if omegas else None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bench.trials[{i}].omegas: {exc}") from None
     return name, detector, *laws, sizes, omegas
@@ -315,35 +320,72 @@ def cmd_bench(cfg, args):
     return EXIT_OK
 
 
+def _parse_line(lineno, line, dim):
+    """The coordinates on ``line`` (line ``lineno`` of the stream), split at
+    commas and whitespace and read by ``float``, or a ConfigError saying why
+    they are not one finite observation of dimension ``dim``."""
+    try:
+        row = [float(tok) for tok in line.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"line {lineno}: cannot parse observation vector") from None
+    if len(row) != dim:
+        raise ConfigError(f"line {lineno}: expected dimension {dim}, got {len(row)}")
+    if not all(map(math.isfinite, row)):
+        raise ConfigError(f"line {lineno}: non-finite observation")
+    return row
+
+
+def _parse_block(block, dim):
+    """A file block's ``(line number, line)`` pairs as one ``(k, dim)`` array.
+
+    numpy's C reader splits at the same whitespace as ``str.split`` and
+    converts as ``float`` does, correctly rounded; it rejects the tokens only
+    ``float`` reads (``1_0``, non-ASCII digits).  A block it rejects, of the
+    wrong width or with a non-finite value goes through :func:`_parse_line`:
+    the rows before the first bad line, then that line's error."""
+    if not block:
+        return
+    try:
+        xs = np.loadtxt([line.replace(",", " ") for _, line in block], comments=None, ndmin=2)
+    except ValueError:
+        xs = None
+    if xs is not None and xs.shape == (len(block), dim) and np.isfinite(xs).all():
+        yield xs
+        return
+    rows = []
+    for lineno, line in block:
+        try:
+            rows.append(_parse_line(lineno, line, dim))
+        except ConfigError:
+            if rows:
+                yield np.array(rows)
+            raise
+    yield np.array(rows)
+
+
 def _observation_blocks(handle, dim):
-    """``(k, dim)`` blocks of ``_DETECT_CHUNK`` lines from a seekable file, or
-    single ``(dim,)`` rows from a pipe, each scored as one observation, so a
-    live alarm never waits.  A bad line or non-UTF-8 bytes raise a ConfigError
-    saying where, once the rows before them have been consumed."""
-    width = _DETECT_CHUNK if handle.seekable() else 1
-    rows, lineno, error = [], 0, None
+    """``(k, dim)`` blocks of ``_DETECT_CHUNK`` non-blank lines from a seekable
+    file, or single ``(dim,)`` rows from a pipe, each scored as one
+    observation, so a live alarm never waits.  A bad line or non-UTF-8 bytes
+    raise a ConfigError saying where, once the rows before them have been
+    consumed."""
+    seekable, block, lineno, decoded = handle.seekable(), [], 0, True
     try:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                row = [float(tok) for tok in line.replace(",", " ").split()]
-                error = (f"expected dimension {dim}, got {len(row)}" if len(row) != dim
-                         else None if all(map(math.isfinite, row)) else "non-finite observation")
-            except ValueError:
-                error = "cannot parse observation vector"
-            if error:
-                break
-            rows.append(row)
-            if len(rows) == width:
-                yield np.array(rows if width > 1 else row)
-                rows = []
+            if not seekable:
+                yield np.array(_parse_line(lineno, line, dim))
+                continue
+            block.append((lineno, line))
+            if len(block) == _DETECT_CHUNK:
+                yield from _parse_block(block, dim)
+                block = []
     except UnicodeDecodeError:  # raised for a whole read buffer, not for one line
-        lineno, error = f"{lineno + 1} or later", "not UTF-8 text"
-    if rows:
-        yield np.array(rows)
-    if error:
-        raise ConfigError(f"line {lineno}: {error}")
+        decoded = False
+    yield from _parse_block(block, dim)
+    if not decoded:
+        raise ConfigError(f"line {lineno + 1} or later: not UTF-8 text")
 
 
 def cmd_detect(cfg, args):

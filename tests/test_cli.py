@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -220,6 +221,10 @@ def learned_section(with_seed=True):
 @pytest.mark.parametrize("verify, message", [
     ({"n": "many"}, "lfd.verify.n"), ({"n": 1}, "lfd.verify.n"), ({"n": 2.5}, "lfd.verify.n"),
     ([1], "lfd.verify must be a JSON object"),
+    # a present verify that is not an object is an error even when it is falsy
+    ([], "lfd.verify must be a JSON object"), (0, "lfd.verify must be a JSON object"),
+    (False, "lfd.verify must be a JSON object"), (None, "lfd.verify must be a JSON object"),
+    (5, "lfd.verify must be a JSON object"),
 ])
 def test_lfd_names_a_bad_verify_field(tmp_path, capsys, verify, message):
     cfg = base_config(lfd={"method": "analytic", "cov": COV,
@@ -230,6 +235,17 @@ def test_lfd_names_a_bad_verify_field(tmp_path, capsys, verify, message):
     assert main(["--config", path, "--seed", "11", "--out", str(out), "lfd"]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "lfd.json").exists()
+
+
+def test_lfd_empty_verify_skips_the_drift_check(tmp_path, capsys):
+    # {} means no verification: no seed is needed and no verdict is printed
+    cfg = base_config(lfd={"method": "analytic", "cov": COV,
+                           "pre_vertices": [list(MEAN_INF_A)], "post_vertices": [list(MEAN_POST_A)],
+                           "verify": {}})
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--out", str(tmp_path), "lfd"]) == 0
+    text = capsys.readouterr().out
+    assert "provenance=analytic" in text and "drift_condition" not in text
 
 
 def test_lfd_learned_quick(tmp_path, capsys):
@@ -526,13 +542,29 @@ def test_bench_checks_every_trial_before_running_any(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("drift_n", 1), ("omegas", [1.0, 0.5]),
-                                          ("omegas", [-1.0]), ("omegas", {"a": 1.0})])
+                                          ("omegas", [-1.0]), ("omegas", {"a": 1.0}),
+                                          # falsy values that are not arrays either
+                                          ("omegas", 0), ("omegas", False), ("omegas", ""),
+                                          ("omegas", {}), ("omegas", None)])
 def test_bench_names_the_bad_trial_field(tmp_path, capsys, field, value):
     cfg = bench_config()
     cfg["bench"]["trials"][0][field] = value
     path = write_config(tmp_path, cfg)
     assert main(["--config", path, "--seed", "5", "--out", str(tmp_path), "bench"]) == 2
     assert f"bench.trials[0].{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omegas", ["absent", []])
+def test_bench_trial_without_thresholds_reports_drifts_only(tmp_path, capsys, omegas):
+    cfg = bench_config()
+    if omegas == "absent":
+        del cfg["bench"]["trials"][0]["omegas"]
+    else:
+        cfg["bench"]["trials"][0]["omegas"] = omegas
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--seed", "5", "--out", str(tmp_path), "bench"]) == 0
+    assert "tiny: pre_drift=" in capsys.readouterr().out
+    assert (tmp_path / "drifts.csv").exists() and not (tmp_path / "tiny_sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +835,110 @@ def test_detect_replays_the_batch_increments(tmp_path, capsys, monkeypatch, mode
     monkeypatch.setattr("sys.stdin", LivePipe(text))
     assert main(["--config", path, "detect"]) == 0
     assert capsys.readouterr().out.split()[0] == f"stopped_at={state.stopped_at}"
+
+
+class Pipe(io.StringIO):
+    """A stdin that cannot seek and ends where ``text`` ends, like a shell pipe."""
+
+    def seekable(self):
+        return False
+
+
+def per_line_parse(text, dim):
+    """The rows and the first error of the reference parse: ``float`` on each
+    token of each non-blank line, commas read as spaces, lines counted with
+    the blank ones."""
+    rows = []
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.replace(",", " ").split()]
+        except ValueError:
+            return rows, f"line {lineno}: cannot parse observation vector"
+        if len(row) != dim:
+            return rows, f"line {lineno}: expected dimension {dim}, got {len(row)}"
+        if not all(map(math.isfinite, row)):
+            return rows, f"line {lineno}: non-finite observation"
+        rows.append(row)
+    return rows, None
+
+
+def record_batches(monkeypatch):
+    """Route ``cli.batch_scores`` through a recorder: the arrays it was given."""
+    calls = []
+
+    def recording(detector, xs):
+        calls.append(np.array(xs, copy=True))
+        return batch_scores(detector, xs)
+
+    monkeypatch.setattr("scoredetect.cli.batch_scores", recording)
+    return calls
+
+
+TRICKY_LINES = {
+    "underscore": "1_0 2", "arabic_indic": "\u0661\u0662 3", "fullwidth": "\uff11\uff12 \uff13",
+    "mixed_separators": "0.5, \t-1e-3", "double_comma": "1,,2", "form_feed": "1\x0c2",
+    "nbsp": "1\xa02", "en_quad": "1\u20002", "vertical_tab": "1\x0b2",
+    "file_separator": "1\x1c2", "whitespace_only": " \t ", "blank": "",
+    "comment": "# comment", "nan": "nan,0.1", "minus_inf": "0.1 -inf", "overflow": "1e999 1",
+    "underflow": "1e-400 1", "wrong_dimension": "1 2 3", "nul": "1\x002",
+    "hex": "0x1p3 2", "signed_zero": "-0 +1",
+}
+
+
+@pytest.mark.parametrize("lineno", [3, 4096, 4097, 4098])
+@pytest.mark.parametrize("tricky", list(TRICKY_LINES.values()), ids=list(TRICKY_LINES))
+def test_detect_block_parse_matches_the_per_line_parse(tmp_path, capsys, monkeypatch,
+                                                       tricky, lineno):
+    # line 2 is blank, so line 4097 holds the last observation of the first
+    # 4096-observation block and line 4098 the first of the second; from a
+    # file and from a pipe, detect must read the doubles, print the line and
+    # name the bad line the reference parse gives
+    assert _DETECT_CHUNK == 4096
+    lines = [",".join(map(repr, row)) for row in
+             np.random.default_rng(35).standard_normal((4100, 2)).tolist()]
+    lines[1], lines[lineno - 1] = "", tricky
+    text = "\n".join(lines) + "\n"
+    rows, error = per_line_parse(text, 2)
+    cfg = detect_config(omega=1e9)
+    table = {name: load_model(MODELS[name]) for name in ("inf_a", "post_a")}
+    state = DetectorState()
+    for inc in batch_scores(DetectorConfig(*table.values(), omega=1e9), np.array(rows)).tolist():
+        step(state, inc, 1e9)
+    want = "" if error else f"stopped_at=none steps={state.n} statistic={state.statistic:.10g}\n"
+
+    path = write_config(tmp_path, cfg)
+    stream = tmp_path / "stream.txt"
+    stream.write_text(text, encoding="utf-8")
+    for stdin in (False, True):
+        calls = record_batches(monkeypatch)
+        argv = ["--config", path, "detect", "--input", str(stream)]
+        if stdin:
+            monkeypatch.setattr("sys.stdin", Pipe(text))
+            argv = argv[:-2]
+        assert main(argv) == (2 if error else 0)
+        captured = capsys.readouterr()
+        assert captured.out == want
+        assert captured.err == (f"error: {error}\n" if error else "")
+        seen = np.concatenate([np.atleast_2d(xs) for xs in calls])
+        assert seen.tobytes() == np.array(rows).tobytes()
+
+
+def test_detect_blocks_count_observations_not_lines(tmp_path, capsys, monkeypatch):
+    # every 97th line blank: 9000 lines hold 8907 observations, scored 4096,
+    # 4096 and 715 at a time
+    lines = [",".join(map(repr, row)) for row in
+             np.random.default_rng(36).standard_normal((9000, 2)).tolist()]
+    for i in range(0, 9000, 97):
+        lines[i] = " " if i % 2 else ""
+    path = write_config(tmp_path, detect_config(omega=1e9))
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\n".join(lines) + "\n")
+    calls = record_batches(monkeypatch)
+    assert main(["--config", path, "detect", "--input", str(stream)]) == 0
+    assert capsys.readouterr().out.startswith("stopped_at=none steps=8907 ")
+    assert [len(xs) for xs in calls] == [_DETECT_CHUNK, _DETECT_CHUNK, 715]
 
 
 @pytest.mark.parametrize("dim, outputs, field", [(3, 2, "beta.dim"), (2, 3, "beta.outputs")])
