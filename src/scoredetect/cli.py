@@ -6,11 +6,11 @@ section per subcommand; randomized commands additionally need an explicit
 seed (``--seed`` or a ``seed`` entry).  Outputs are written under ``--out``
 and are byte-identical for a fixed config and seed.
 
-``detect`` scores a regular file ``_DETECT_CHUNK`` observations per
-``batch_scores`` call and a pipe one observation per call, then steps once per
-observation.  numpy's C reader parses each file block into the same doubles as
-``float``; a block it rejects is parsed line by line, so the accepted syntax is
-unchanged and a bad line is named by the same per-line parse as on a pipe.
+``detect`` reads a file or a pipe alike: the complete lines of each read
+are parsed by numpy's C reader into the same doubles as ``float`` and scored
+in one ``batch_scores`` call, then the recursion steps once per observation.
+A block the reader rejects is parsed line by line, so the accepted syntax is
+unchanged and a bad line is named.
 
 Exit codes: 0 success (including "no alarm" and degenerate calibration),
 2 input or config errors (``ConfigError``, ``ModelError`` and
@@ -19,10 +19,13 @@ pre-change drift.  Any other exception is a bug and ends in a traceback.
 """
 
 import argparse
+import codecs
+import io
 import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .bench import arl_edd_sweep, estimate_drift, threshold_grid, write_sweep_cs
 from .calibration import (CalibrationError, DriftSignError, solve_rho_star,
                           threshold_for_arl)
 from .detectors import DetectorConfig, DetectorState, batch_scores, step
-from .lfd import (DisjointnessError, MeanPolytope, TrainConfig,
+from .lfd import (DisjointnessError, MeanPolytope, TrainConfig, TrainingDivergedError,
                   gaussian_polytope_lfd, train_beta_networks,
                   verify_drift_condition)
 from .models import Gaussian, Gbrbm, ModelError
@@ -43,10 +46,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 
-# observations (non-blank lines) per batch_scores call on a seekable detect
-# input; a batch can round an increment differently from a row, so the width is
-# in the determinism contract
-_DETECT_CHUNK = 4096
+# bytes per read of a detect stream, a Linux pipe's capacity; a row scores
+# alike in any batch, so the block a read makes is not in the determinism contract
+_READ_BYTES = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -89,6 +91,12 @@ def _number(value, name, low, kind=int, closed=False):
 def _field(section, context, key, default, low, kind=int, closed=False):
     """``section[key]`` (or ``default``) checked by :func:`_number` as ``context.key``."""
     return _number(section.get(key, default), f"{context}.{key}", low, kind, closed)
+
+
+def _path(value, name):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty JSON string, got {value!r}")
+    return value
 
 
 def _open(path, name):
@@ -146,7 +154,8 @@ def _seed_stream(cfg, args):
 
 
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("out") or "."
+    configured = _path(cfg.get("out", "."), "out")  # checked where --out overrides it too
+    out = args.out or configured
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -239,8 +248,9 @@ def cmd_calibrate(cfg, args):
     stream = _seed_stream(cfg, args)
     p_inf = _named_model(table, _require(section, "p_inf", "calibrate"), "calibrate")
     if "pair_file" in section:
+        pair_file = _path(section["pair_file"], "calibrate.pair_file")
         try:
-            pair = load_lfd_pair(_read_json(section["pair_file"], "calibrate.pair_file"))
+            pair = load_lfd_pair(_read_json(pair_file, "calibrate.pair_file"))
         except KeyError as exc:
             raise ConfigError(f"calibrate.pair_file is missing {exc}") from None
         except ModelError as exc:
@@ -325,7 +335,10 @@ def _parse_line(lineno, line, dim):
     commas and whitespace and read by ``float``, or a ConfigError saying why
     they are not one finite observation of dimension ``dim``."""
     try:
+        line.encode()  # a surrogate stands for a byte that is not UTF-8
         row = [float(tok) for tok in line.replace(",", " ").split()]
+    except UnicodeEncodeError:
+        raise ConfigError(f"line {lineno}: not UTF-8 text") from None
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse observation vector") from None
     if len(row) != dim:
@@ -336,7 +349,7 @@ def _parse_line(lineno, line, dim):
 
 
 def _parse_block(block, dim):
-    """A file block's ``(line number, line)`` pairs as one ``(k, dim)`` array.
+    """A read's ``(line number, line)`` pairs as one ``(k, dim)`` array.
 
     numpy's C reader splits at the same whitespace as ``str.split`` and
     converts as ``float`` does, correctly rounded; it rejects the tokens only
@@ -363,29 +376,25 @@ def _parse_block(block, dim):
     yield np.array(rows)
 
 
-def _observation_blocks(handle, dim):
-    """``(k, dim)`` blocks of ``_DETECT_CHUNK`` non-blank lines from a seekable
-    file, or single ``(dim,)`` rows from a pipe, each scored as one
-    observation, so a live alarm never waits.  A bad line or non-UTF-8 bytes
-    raise a ConfigError saying where, once the rows before them have been
-    consumed."""
-    seekable, block, lineno, decoded = handle.seekable(), [], 0, True
-    try:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            if not seekable:
-                yield np.array(_parse_line(lineno, line, dim))
-                continue
-            block.append((lineno, line))
-            if len(block) == _DETECT_CHUNK:
-                yield from _parse_block(block, dim)
-                block = []
-    except UnicodeDecodeError:  # raised for a whole read buffer, not for one line
-        decoded = False
-    yield from _parse_block(block, dim)
-    if not decoded:
-        raise ConfigError(f"line {lineno + 1} or later: not UTF-8 text")
+def _observation_blocks(stream, dim):
+    """``(k, dim)`` arrays of the observations on the complete lines of each
+    ``read1`` from the binary ``stream``.  A pipe or terminal yields what its
+    writer has sent, so a live alarm never waits for more input.  Lines split
+    at ``\\n``, ``\\r\\n`` or ``\\r``, as in a text-mode file, and are numbered
+    with the blank ones; bytes that are not UTF-8 become surrogates, which
+    :func:`_parse_line` names.  A bad line raises a ConfigError once the rows
+    before it have been consumed."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
+    lineno, tail, final = 0, "", False
+    while not final:
+        data = stream.read1(_READ_BYTES)
+        final = not data
+        lines = (tail + decoder.decode(data, final)).split("\n")
+        tail = "" if final else lines.pop()  # a partial line waits for the next read
+        block = [(lineno + i, line) for i, line in enumerate(lines, start=1) if line.strip()]
+        lineno += len(lines)
+        yield from _parse_block(block, dim)
 
 
 def cmd_detect(cfg, args):
@@ -394,18 +403,13 @@ def cmd_detect(cfg, args):
     detector = _detector_from(table, _require(section, "detector", "detect"), "detect")
     cap = _field(section, "detect", "cap", 10**9, 1)
     state = DetectorState()
-    handle = _open(args.input, "detect --input") if args.input else sys.stdin
-    try:
-        for xs in _observation_blocks(handle, detector.model_inf.dim):
-            incs = batch_scores(detector, xs[:cap - state.n] if xs.ndim > 1 else xs).tolist()
-            for inc in incs if xs.ndim > 1 else [incs]:
+    with _open(args.input, "detect --input") if args.input else nullcontext(sys.stdin) as handle:
+        for xs in _observation_blocks(handle.buffer, detector.model_inf.dim):
+            for inc in batch_scores(detector, xs[:cap - state.n]).tolist():
                 if step(state, inc, detector.omega).stopped_at is not None:
                     break
             if state.stopped_at is not None or state.n >= cap:
                 break
-    finally:
-        if args.input:
-            handle.close()
     if state.stopped_at is not None:
         print(f"stopped_at={state.stopped_at} statistic={state.statistic:.10g}")
     else:
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
     except (ConfigError, ModelError, DisjointnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DriftSignError, CalibrationError) as exc:
+    except (DriftSignError, CalibrationError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
 

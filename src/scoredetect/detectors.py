@@ -20,14 +20,12 @@ affine in ``x``: the quadratic terms and the traces cancel, leaving
 A ``DetectorConfig`` of such a pair (both models of type ``Gaussian``, their
 ``cov`` arrays equal bit for bit) builds ``(a, c)`` once, and
 ``batch_scores`` evaluates it; every other pair runs the two Hyvarinen
-kernels, which stay the Gaussian oracle in the tests.  The affine form
-scores a row to the same bits whatever batch it arrives in (for a fixed
-numpy build), so file-fed and pipe-fed ``detect`` agree exactly on these
-pairs.
+kernels, which stay the Gaussian oracle in the tests.
 
 ``batch_scores`` is the one increment function and ``step`` the recursion
-on one increment, so a stream is scored in blocks and then stepped one
-increment at a time::
+on one increment.  Any pair scores a row to the same bits in any batch (for
+a fixed numpy and BLAS build), so a stream can be scored in blocks of any
+size and then stepped one increment at a time::
 
     for inc in batch_scores(cfg, xs).tolist():
         step(state, inc, cfg.omega)
@@ -98,16 +96,19 @@ def batch_scores(cfg: DetectorConfig, x):
     ``(d,)`` (a float) or a batch ``(..., d)``.
 
     ``detect``, the benchmark sweeps and the calibration all call it, so a
-    detector has the same increments everywhere.  A shared-covariance
-    Gaussian pair takes its affine form, on C-ordered points, so that a row's
-    increment does not depend on the layout of its batch.
+    detector has the same increments everywhere, whatever their batch: the
+    points are made C-ordered, and a lone row is scored as the first of two,
+    since numpy hands a one-row product to BLAS gemv, which can round it
+    apart from the same row in a batch (gemm).
     """
+    x = np.asarray(x, dtype=float, order="C")
+    if x.ndim and x.size == x.shape[-1] == cfg.model_inf.dim:  # a lone row
+        pair = np.repeat(x.reshape(1, -1), 2, axis=0)
+        return batch_scores(cfg, pair)[:1].reshape(x.shape[:-1])[()]
     if cfg._affine is not None:
         a, c = cfg._affine
-        x = np.ascontiguousarray(cfg.model_inf._points(x))
-        # einsum, not x @ a: matmul hands a lone row to another BLAS kernel,
-        # which can round it differently from the same row in a batch
-        return np.einsum("...i,i->...", x, a) + c
+        # einsum, not x @ a: gemv can round a row apart from it in a larger batch
+        return np.einsum("...i,i->...", cfg.model_inf._points(x), a) + c
     return cfg.rho * (cfg.model_inf.hyvarinen(x) - cfg.model_post.hyvarinen(x))
 
 

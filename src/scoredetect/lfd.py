@@ -51,7 +51,7 @@ class DisjointnessError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a Langevin refresh of the particles became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -435,6 +435,15 @@ def _basis_scores(basis, x):
     return np.stack([np.asarray(b.score(x)) for b in basis], axis=1)
 
 
+def _refresh(mixture, particles, cfg: TrainConfig, gen):
+    """``langevin_chain`` under the current mixture; a particle that leaves
+    the finite range means training diverged."""
+    try:
+        return langevin_chain(mixture, particles, cfg.langevin, gen)
+    except ValueError as exc:
+        raise TrainingDivergedError(f"training diverged: {exc}") from None
+
+
 def train_beta_networks(basis_inf, basis_post, cfg: TrainConfig):
     """Jointly train the two weight networks and return the learned pair.
 
@@ -491,10 +500,10 @@ def train_beta_networks(basis_inf, basis_post, cfg: TrainConfig):
                 "training loss became non-finite; lower the learning rate"
             )
         history.append(epoch_loss)
-        particles = langevin_chain(mixture_post, particles, cfg.langevin, gen_langevin)
+        particles = _refresh(mixture_post, particles, cfg, gen_langevin)
 
     holdout = init.sample(cfg.holdout, gen_holdout)
-    holdout = langevin_chain(mixture_post, holdout, cfg.langevin, gen_holdout)
+    holdout = _refresh(mixture_post, holdout, cfg, gen_holdout)
     beta_inf, beta_post = net_inf(holdout), net_post(holdout)
     delta = np.einsum("bm,bmd->bd", beta_post, _basis_scores(basis_post, holdout)) \
         - np.einsum("bm,bmd->bd", beta_inf, _basis_scores(basis_inf, holdout))

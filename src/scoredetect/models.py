@@ -156,7 +156,8 @@ class Gaussian(ScoreModel):
 
     def _log_density(self, x):
         y = x - self.mean
-        maha = np.einsum("...i,ij,...j->...", y, self.cov_inv, y)
+        # two operands: a three-operand einsum sums a row in a batch-dependent order
+        maha = np.einsum("...i,...i->...", y @ self.cov_inv, y)
         return -0.5 * (maha + self._logdet + self.dim * math.log(2.0 * math.pi))
 
     def sample(self, n, rng):

@@ -1,3 +1,4 @@
+import bisect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from conftest import GAP_NEAR, MEAN_INF_A, MEAN_INF_B, MEAN_POST_A, MEAN_POST_B,
 import scoredetect
 from scoredetect import (RHO_CAP, BetaNetwork, DetectorConfig, DetectorState, RhoSolution,
                          ScoreMixture, batch_scores, load_lfd_pair, load_model, step)
-from scoredetect.cli import _DETECT_CHUNK, main
+from scoredetect.cli import _READ_BYTES, main
 
 COV = [list(row) for row in V_REF]
 
@@ -312,6 +313,22 @@ def test_lfd_names_the_bad_train_field(tmp_path, capsys, key, value):
     assert not (out / "lfd.json").exists()
 
 
+@pytest.mark.parametrize("train", [{"learning_rate": 1e300}, {"langevin": {"step": 1e200}}],
+                         ids=["learning_rate", "langevin_step"])
+def test_lfd_names_training_that_diverges(tmp_path, capsys, train):
+    # a loss or Langevin particles that leave the finite range are an
+    # assumption failure, reported in one line
+    cfg = learned_section()
+    cfg["lfd"]["train"].update(train)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", path, "--out", str(out), "lfd"]) == 3
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: training [^\n]*non-finite[^\n]*\n", captured.err)
+    assert captured.out == "" and not (out / "lfd.json").exists()
+
+
 def test_lfd_train_must_be_an_object(tmp_path, capsys):
     cfg = learned_section()
     cfg["lfd"]["train"] = [4]
@@ -453,13 +470,25 @@ def test_calibrate_names_an_unreadable_pair_file(tmp_path, capsys, content, mess
 @pytest.mark.parametrize("key, value", [("n", "many"), ("n", 1), ("n", 2.5), ("method", "bogus"),
                                         ("method", 5), ("method", None), ("gammas", ["x"]),
                                         ("gammas", [0.5]), ("gammas", [True]),
-                                        ("gammas", [[10]])])
+                                        ("gammas", [[10]]), ("pair_file", 7), ("pair_file", ""),
+                                        ("pair_file", ["lfd.json"]), ("pair_file", None)])
 def test_calibrate_names_the_bad_field(tmp_path, capsys, key, value):
     path = write_config(tmp_path, calibrate_config(**{key: value}))
     out = tmp_path / "out"
     assert main(["--config", path, "--seed", "9", "--out", str(out), "calibrate"]) == 2
     assert f"calibrate.{key}" in capsys.readouterr().err
     assert not (out / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("value", [5, [], False, "", None])
+def test_out_must_be_a_non_empty_string(tmp_path, capsys, monkeypatch, value):
+    # the config's out is checked even where --out overrides it
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, base_config(sample={"model": "inf_a", "n": 5}, out=value))
+    for flag in ([], ["--out", str(tmp_path / "out")]):
+        assert main(["--config", path, "--seed", "1", *flag, "sample"]) == 2
+        assert f"out must be a non-empty JSON string, got {value!r}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_calibrate_identical_pair_is_an_assumption_failure(tmp_path, capsys):
@@ -602,7 +631,7 @@ def test_detect_no_alarm(tmp_path, capsys):
 
 def test_detect_reads_stdin(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, detect_config())
-    monkeypatch.setattr("sys.stdin", io.StringIO("2.42,2.42\n" * 6))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"2.42,2.42\n" * 6)))
     assert main(["--config", path, "detect"]) == 0
     assert capsys.readouterr().out.startswith("stopped_at=6")
 
@@ -689,8 +718,8 @@ def test_detect_names_a_non_finite_line(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "pipe"])
 def test_detect_names_text_that_is_not_utf8(tmp_path, capsys, monkeypatch, stdin):
-    # the decoder fails on a whole read buffer: the two lines ahead of the bad
-    # bytes share it and are lost, while an alarm 3000 lines ahead is kept
+    # bytes that are not UTF-8 make their own line bad: the rows ahead of it
+    # are scored, and an alarm 3000 lines ahead is kept
     path = write_config(tmp_path, detect_config())
     for lines, code in ((2, 2), (3000, 0)):
         data = b"2.42,2.42\n" * lines + b"\xff\xfe\n"
@@ -706,27 +735,45 @@ def test_detect_names_text_that_is_not_utf8(tmp_path, capsys, monkeypatch, stdin
         assert main(argv) == code
         captured = capsys.readouterr()
         if code:
-            assert "line 1 or later: not UTF-8 text" in captured.err and captured.out == ""
+            assert captured.err == "error: line 3: not UTF-8 text\n" and captured.out == ""
         else:
             assert captured.out.startswith("stopped_at=6 ")
         if stdin:
             sys.stdin.close()
 
 
-class LivePipe:
-    """A stdin that cannot seek, like a pipe or a terminal, whose writer has
-    sent ``text`` and keeps it open: reading past ``text`` fails the test,
-    where a live stream would block."""
+class Pipe:
+    """A stdin whose writer has sent ``data`` (a str is sent as UTF-8) and
+    closed it, like a shell pipe.  ``buffer.read1`` returns the next bytes,
+    each read ending at the next offset in ``cuts`` or at the size asked
+    for, and then ``b""``, the end of the stream."""
+
+    def __init__(self, data, cuts=()):
+        self.data = data.encode() if isinstance(data, str) else data
+        self.ends = sorted(set(cuts) | {len(self.data)})
+        self.pos = 0
+        self.buffer = self
+
+    def read1(self, size):
+        i = bisect.bisect_right(self.ends, self.pos)
+        end = min(self.ends[i], self.pos + size) if i < len(self.ends) else self.pos
+        chunk, self.pos = self.data[self.pos:end], end
+        return chunk
+
+
+class LivePipe(Pipe):
+    """A terminal whose writer has sent ``text`` a line at a time and keeps
+    it open: each read returns one line, and reading past ``text`` fails the
+    test, where a live stream would block."""
 
     def __init__(self, text):
-        self.lines = text.splitlines(keepends=True)
+        data = text.encode()
+        super().__init__(data, [m.end() for m in re.finditer(b"\n", data)])
 
-    def seekable(self):
-        return False
-
-    def __iter__(self):
-        yield from self.lines
-        raise AssertionError("read past the lines sent, where a live stream blocks")
+    def read1(self, size):
+        if self.pos == len(self.data):
+            raise AssertionError("read past the lines sent, where a live stream blocks")
+        return super().read1(size)
 
 
 def test_detect_on_a_pipe_alarms_without_reading_ahead(tmp_path, capsys, monkeypatch):
@@ -734,6 +781,32 @@ def test_detect_on_a_pipe_alarms_without_reading_ahead(tmp_path, capsys, monkeyp
     monkeypatch.setattr("sys.stdin", LivePipe("2.42,2.42\n" * 6))
     assert main(["--config", path, "detect"]) == 0
     assert capsys.readouterr().out.startswith("stopped_at=6 ")
+
+
+def test_detect_reads_a_pipe_split_anywhere(tmp_path, capsys, monkeypatch):
+    # reads that end after 1 byte, between \r and \n, after a lone \r,
+    # inside a multi-byte UTF-8 character and in mid-line give the lines,
+    # the line numbers and the output of the file
+    lines = [",".join(map(repr, row)) for row in
+             np.random.default_rng(37).standard_normal((3000, 2)).tolist()]
+    lines[100], lines[200], lines[300] = "\uff11\uff12 0.25", "0.75\u20000.5", ""
+    text = "".join(line + ("\r\n", "\r", "\n")[i % 3] for i, line in enumerate(lines))
+    data = text.encode()
+    cuts = [1, data.index(b"\r\n") + 1, data.index(b"\r", data.index(b"\r\n") + 2) + 1,
+            data.index("\uff12".encode()) + 2, data.index("\u2000".encode()) + 1,
+            data.index(b",", len(data) // 2)]
+    path = write_config(tmp_path, detect_config(omega=1e9))
+    stream = tmp_path / "stream.txt"
+    outs = []
+    for bad in ("", "nan nan"):  # and a bad line just past a read's end
+        stream.write_bytes(data + bad.encode())
+        assert main(["--config", path, "detect", "--input", str(stream)]) == (2 if bad else 0)
+        outs.append(capsys.readouterr())
+        monkeypatch.setattr("sys.stdin", Pipe(data + bad.encode(), cuts + [len(data)]))
+        assert main(["--config", path, "detect"]) == (2 if bad else 0)
+        assert capsys.readouterr() == outs[-1]
+    assert outs[0].out.startswith("stopped_at=none steps=2999 ")
+    assert outs[1].err == "error: line 3001: non-finite observation\n"
 
 
 @pytest.mark.parametrize("bad", ["abc def", "0.5", "nan,0.1"])
@@ -800,22 +873,22 @@ def rbm_members(dim=3, hidden=2):
     (learned_models(), ("q_inf", "q_post")),
 ], ids=["gaussian", "rbm", "network_mixture"])
 def test_detect_replays_the_batch_increments(tmp_path, capsys, monkeypatch, models, names):
-    # a stream over two blocks long whose first crossing falls after the
-    # first block: detect prints what step looped over batch_scores of the
-    # whole array gives, from a file read in blocks and from a pipe read a
-    # line at a time
+    # a stream of several reads whose first crossing falls after the first
+    # read: detect prints what step looped over batch_scores of the whole
+    # array gives, from a file read in 64 KiB blocks and from a terminal read
+    # a line at a time
     cfg = base_config()
     cfg["models"].update(models)
     table = {name: load_model(cfg["models"][name]) for name in names}
     dim = table[names[0]].dim
     gen = np.random.default_rng(34)
-    n, change = 2 * _DETECT_CHUNK + 808, _DETECT_CHUNK + 904
+    n, change = 9000, 5000
     xs = gen.standard_normal((n, dim)) + np.where(np.arange(n) < change, -0.5, 1.5)[:, None]
     increments = batch_scores(DetectorConfig(*table.values(), omega=0.0, rho=1.3), xs).tolist()
     free = DetectorState()  # no threshold: the whole reflected path
     walk = np.array([step(free, inc, float("inf")).statistic for inc in increments])
     first_max = int(np.argmax(walk))
-    assert first_max >= _DETECT_CHUNK
+    assert first_max >= change
     omega = 0.5 * (walk[first_max] + walk[:first_max].max())
     state = DetectorState()
     for inc in increments:
@@ -830,18 +903,12 @@ def test_detect_replays_the_batch_increments(tmp_path, capsys, monkeypatch, mode
     text = "".join(",".join(map(repr, row)) + "\n" for row in xs.tolist())
     stream = tmp_path / "stream.txt"
     stream.write_text(text)
+    assert len(text) > _READ_BYTES
     assert main(["--config", path, "detect", "--input", str(stream)]) == 0
     assert capsys.readouterr().out == want
     monkeypatch.setattr("sys.stdin", LivePipe(text))
     assert main(["--config", path, "detect"]) == 0
-    assert capsys.readouterr().out.split()[0] == f"stopped_at={state.stopped_at}"
-
-
-class Pipe(io.StringIO):
-    """A stdin that cannot seek and ends where ``text`` ends, like a shell pipe."""
-
-    def seekable(self):
-        return False
+    assert capsys.readouterr().out == want
 
 
 def per_line_parse(text, dim):
@@ -876,6 +943,11 @@ def record_batches(monkeypatch):
     return calls
 
 
+def line_offset(lines, k):
+    """The byte offset of line ``k`` of ``lines`` joined by newlines."""
+    return sum(len(line.encode()) + 1 for line in lines[:k - 1])
+
+
 TRICKY_LINES = {
     "underscore": "1_0 2", "arabic_indic": "\u0661\u0662 3", "fullwidth": "\uff11\uff12 \uff13",
     "mixed_separators": "0.5, \t-1e-3", "double_comma": "1,,2", "form_feed": "1\x0c2",
@@ -891,15 +963,18 @@ TRICKY_LINES = {
 @pytest.mark.parametrize("tricky", list(TRICKY_LINES.values()), ids=list(TRICKY_LINES))
 def test_detect_block_parse_matches_the_per_line_parse(tmp_path, capsys, monkeypatch,
                                                        tricky, lineno):
-    # line 2 is blank, so line 4097 holds the last observation of the first
-    # 4096-observation block and line 4098 the first of the second; from a
-    # file and from a pipe, detect must read the doubles, print the line and
-    # name the bad line the reference parse gives
-    assert _DETECT_CHUNK == 4096
+    # line 2 is blank, padded with spaces so that a read of the file ends in
+    # line 4097: line 3 opens the first read, 4096 ends a read, 4097 spans
+    # two and 4098 is the first line wholly in the next one; the pipe's first
+    # read ends inside the tricky line; from a file and from a pipe, detect
+    # must read the doubles, print the line and name the bad line the
+    # reference parse gives
     lines = [",".join(map(repr, row)) for row in
              np.random.default_rng(35).standard_normal((4100, 2)).tolist()]
     lines[1], lines[lineno - 1] = "", tricky
+    lines[1] = " " * (-(line_offset(lines, 4097) + len(lines[4096].encode()) // 2) % _READ_BYTES)
     text = "\n".join(lines) + "\n"
+    cut = line_offset(lines, lineno) + len(tricky.encode()) // 2
     rows, error = per_line_parse(text, 2)
     cfg = detect_config(omega=1e9)
     table = {name: load_model(MODELS[name]) for name in ("inf_a", "post_a")}
@@ -915,7 +990,7 @@ def test_detect_block_parse_matches_the_per_line_parse(tmp_path, capsys, monkeyp
         calls = record_batches(monkeypatch)
         argv = ["--config", path, "detect", "--input", str(stream)]
         if stdin:
-            monkeypatch.setattr("sys.stdin", Pipe(text))
+            monkeypatch.setattr("sys.stdin", Pipe(text, [cut]))
             argv = argv[:-2]
         assert main(argv) == (2 if error else 0)
         captured = capsys.readouterr()
@@ -923,22 +998,9 @@ def test_detect_block_parse_matches_the_per_line_parse(tmp_path, capsys, monkeyp
         assert captured.err == (f"error: {error}\n" if error else "")
         seen = np.concatenate([np.atleast_2d(xs) for xs in calls])
         assert seen.tobytes() == np.array(rows).tobytes()
-
-
-def test_detect_blocks_count_observations_not_lines(tmp_path, capsys, monkeypatch):
-    # every 97th line blank: 9000 lines hold 8907 observations, scored 4096,
-    # 4096 and 715 at a time
-    lines = [",".join(map(repr, row)) for row in
-             np.random.default_rng(36).standard_normal((9000, 2)).tolist()]
-    for i in range(0, 9000, 97):
-        lines[i] = " " if i % 2 else ""
-    path = write_config(tmp_path, detect_config(omega=1e9))
-    stream = tmp_path / "stream.txt"
-    stream.write_text("\n".join(lines) + "\n")
-    calls = record_batches(monkeypatch)
-    assert main(["--config", path, "detect", "--input", str(stream)]) == 0
-    assert capsys.readouterr().out.startswith("stopped_at=none steps=8907 ")
-    assert [len(xs) for xs in calls] == [_DETECT_CHUNK, _DETECT_CHUNK, 715]
+        if not (error or stdin):  # a read's block ends with line 4096
+            ends = np.cumsum([len(xs) for xs in calls])
+            assert len(per_line_parse("\n".join(lines[:4096]), 2)[0]) in ends
 
 
 @pytest.mark.parametrize("dim, outputs, field", [(3, 2, "beta.dim"), (2, 3, "beta.outputs")])

@@ -89,11 +89,37 @@ def shared_pair(seed, d, rho):
                           Gaussian(gen.standard_normal(d), cov.copy()), omega=1.0, rho=rho)
 
 
+def random_gaussian(gen, d):
+    root = gen.standard_normal((d, d))
+    return Gaussian(gen.standard_normal(d), root @ root.T / d + 0.5 * np.eye(d))
+
+
+def family_pair(family, d, seed):
+    """A detector at dimension ``d`` on a pair of the given family."""
+    if family == "shared_covariance":
+        return shared_pair(seed, d, rho=2.2)
+    if family == "network_mixture":
+        return _network_pair(seed, rho=2.2, d=d)
+    gen = RngStream(seed).generator()
+    basis_inf, basis_post = make_rbm_family(RngStream(seed), n_visible=d)
+    q, p = {
+        "gaussians": lambda: (random_gaussian(gen, d), random_gaussian(gen, d)),
+        "gmm_gaussian": lambda: (GaussianMixture([random_gaussian(gen, d) for _ in range(3)],
+                                                 [0.2, 0.3, 0.5]), random_gaussian(gen, d)),
+        "rbm": lambda: (basis_inf[0], basis_post[0]),
+        "constant_mixture": lambda: (ScoreMixture(basis_inf, [0.4, 0.6]),
+                                     ScoreMixture(basis_post, [0.7, 0.3])),
+    }[family]()
+    return DetectorConfig(q, p, omega=1.0, rho=2.2)
+
+
 @pytest.mark.parametrize("d", [2, 10])
-def test_shared_covariance_rows_score_alike_in_every_batch(d):
+@pytest.mark.parametrize("family", ["shared_covariance", "gaussians", "gmm_gaussian", "rbm",
+                                    "constant_mixture", "network_mixture"])
+def test_rows_score_alike_in_every_batch(family, d):
     # a row's increment does not depend on the batch it is scored in, so
-    # file-fed and pipe-fed detect and the bench blocks agree bit for bit
-    cfg = shared_pair(611 + d, d, rho=2.2)
+    # detect's reads, the bench blocks and the calibration agree bit for bit
+    cfg = family_pair(family, d, 611 + d)
     xs = 3.0 * RngStream(612 + d).generator().standard_normal((4096, d))
     singles = np.array([batch_scores(cfg, x) for x in xs])  # (d,) rows
     for size in (1, 2, 3, 5, 17, 255, 256, 257, 4096):
@@ -264,11 +290,11 @@ def test_rbm_mixture_increments_match_the_closed_form():
     assert np.abs(got - want).max() < 1e-12
 
 
-def _network_pair(seed, rho=1.0, omega=1.0):
+def _network_pair(seed, rho=1.0, omega=1.0, d=10):
     # learned-pair form: softmax weight networks over RBM bases
-    basis_inf, basis_post = make_rbm_family(RngStream(seed))
+    basis_inf, basis_post = make_rbm_family(RngStream(seed), n_visible=d)
     gen = RngStream(seed + 1).generator()
-    nets = [BetaNetwork.initialize(10, 2, gen) for _ in range(2)]
+    nets = [BetaNetwork.initialize(d, 2, gen) for _ in range(2)]
     for net in nets:
         net.w2 = 30.0 * net.w2  # sharper weights make the grad-beta term count
     return DetectorConfig(ScoreMixture(basis_inf, nets[0]),
@@ -292,8 +318,8 @@ def test_network_mixture_increments_use_the_exact_divergence():
 def test_step_matches_batch_on_network_mixtures():
     # detect, bench and calibrate all score through batch_scores: on a
     # learned pair a single observation, a one-row batch and a row of a
-    # larger batch give one increment up to rounding, and one step adds
-    # exactly the increment it is given
+    # larger batch give one increment, and one step adds exactly the
+    # increment it is given
     cfg = _network_pair(608, rho=1.3, omega=1e9)
     xs = RngStream(609).generator().standard_normal((20, 10))
     batch = batch_scores(cfg, xs)
@@ -301,7 +327,7 @@ def test_step_matches_batch_on_network_mixtures():
     for x, inc in zip(xs, batch.tolist()):
         want = batch_scores(cfg, x[None])[0]
         assert batch_scores(cfg, x) == want
-        assert inc == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert inc == want
         assert step(DetectorState(), want, cfg.omega).statistic == max(want, 0.0)
         positive += want > 0.0
     assert positive  # so the reflection at zero does not hide every increment

@@ -381,6 +381,15 @@ def test_training_divergence_is_reported(post_a):
                                                langevin=LangevinConfig(steps=0)))
 
 
+def test_a_diverging_langevin_refresh_is_reported(inf_a, post_a):
+    # a refresh that leaves the finite range is a training failure, while
+    # langevin_chain itself keeps raising ValueError
+    cfg = quick_train_config(716, epochs=1, langevin=LangevinConfig(step=1e200, steps=5))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="particle .* non-finite"):
+        train_beta_networks([inf_a], [post_a], cfg)
+
+
 def test_training_validation(inf_a, post_a):
     with pytest.raises(ModelError):
         train_beta_networks([], [post_a], quick_train_config(716))

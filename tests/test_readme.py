@@ -25,7 +25,7 @@ def test_readme_example_config_runs_every_listed_command(tmp_path, capsys, monke
     for line in commands:
         piped = re.match(r"printf '([^']*)' \| ", line)
         stdin = piped.group(1).replace("\\n", "\n") if piped else ""
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         argv = line.split("scoredetect ", 1)[1].split()
         assert main(argv) == 0, line
     out = capsys.readouterr().out
