@@ -214,16 +214,27 @@ def verify_drift_condition(basis_inf, q_inf, q_post, n: int, rng) -> DriftCondit
     member ``P``, which is what makes the detector's pre-change drift negative
     across the whole class.
 
-    Both divergences are estimated from the same draws of each ``P`` so the
-    reported gap standard error is that of the paired difference.  Verdicts:
-    ``PASS`` when the gap is negative by more than 3 standard errors, ``FAIL``
-    when it is non-negative beyond doubt, ``INCONCLUSIVE`` otherwise.
+    A row whose ``P``, ``q_inf`` and ``q_post`` are all Gaussian is exact
+    (:func:`fisher_gaussian`): it draws nothing, its standard errors are
+    ``0.0``, and it passes only when the gap is below ``-8 d eps (D_inf +
+    D_post)``, which bounds the closed forms' rounding, so an equidistant
+    pair fails.  Any other row estimates both divergences from the same
+    ``n`` draws of ``P``, taken from ``rng`` in row order, so its gap standard
+    error is that of the paired difference.  Verdicts: ``PASS`` when the gap
+    is negative by more than 3 standard errors, ``FAIL`` when it is
+    non-negative beyond doubt, ``INCONCLUSIVE`` otherwise.
     """
     if n < 2:
         raise ValueError("need at least 2 samples per basis member")
     gen = as_generator(rng)
     rows = []
     for i, p in enumerate(basis_inf):
+        if all(isinstance(m, Gaussian) for m in (p, q_inf, q_post)):
+            d_inf, d_post = fisher_gaussian(p, q_inf), fisher_gaussian(p, q_post)
+            tol = 8 * p.dim * np.finfo(float).eps * (d_inf + d_post)
+            rows.append(DriftConditionRow(i, d_inf, 0.0, d_post, 0.0, d_inf - d_post, 0.0,
+                                          "PASS" if d_inf - d_post < -tol else "FAIL"))
+            continue
         draws = p.sample(n, gen)
         s_p = np.asarray(p.score(draws))
         t_inf = 0.5 * np.sum((s_p - np.asarray(q_inf.score(draws))) ** 2, axis=-1)

@@ -420,16 +420,16 @@ def hutchinson_laplacian(model, x, n_probes, rng=None, return_stderr=False):
 
 
 def fisher_gaussian(p: Gaussian, q: Gaussian) -> float:
-    """Closed-form Fisher divergence between Gaussians sharing a covariance:
-    ``0.5 * ||V^{-1}(mean_p - mean_q)||^2``."""
+    """Closed-form Fisher divergence ``E_p[0.5 ||score_p - score_q||^2]`` between
+    Gaussians: ``0.5 ||V_q^-1 (mean_p - mean_q)||^2 + 0.5 tr(A V_p A)`` with
+    ``A = V_q^-1 - V_p^-1``, exactly zero for bitwise-equal covariances."""
     if not (isinstance(p, Gaussian) and isinstance(q, Gaussian)):
-        raise ModelError("fisher_gaussian requires Gaussian arguments")
+        raise ModelError("fisher_gaussian requires Gaussians; fisher_mc estimates other models")
     if p.dim != q.dim:
         raise ModelError("dimension mismatch")
-    if np.abs(p.cov - q.cov).max() > 1e-10:
-        raise ModelError("covariances differ; use fisher_mc instead")
-    v = p.cov_inv @ (p.mean - q.mean)
-    return 0.5 * float(v @ v)
+    v = q.cov_inv @ (p.mean - q.mean)
+    a = q.cov_inv - p.cov_inv
+    return 0.5 * float(v @ v) + 0.5 * float(np.sum((a @ p.cov) * a))  # A is symmetric
 
 
 def fisher_mc(p, q, n: int, rng):

@@ -1,7 +1,7 @@
 """Shared fixtures: the two-vertex Gaussian reference geometry used across
-the suite, a Gauss-Bernoulli RBM family builder, the exact run length of
-Gaussian increments, and small finite-difference oracles for score and
-Laplacian checks."""
+the suite, random SPD covariances, a Gauss-Bernoulli RBM family builder,
+the exact run length of Gaussian increments, and small finite-difference
+oracles for score and Laplacian checks."""
 
 import math
 
@@ -102,6 +102,11 @@ def gaussian_run_length(mean, var, omega, tol=1e-6):
             return value
         previous = value
     raise AssertionError(f"run length at omega={omega} did not converge: {previous}")
+
+
+def random_spd(gen, d):
+    a = gen.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)
 
 
 def make_rbm_family(stream: RngStream, n_visible=10, n_hidden=8):

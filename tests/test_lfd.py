@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import GAP_NEAR, V_REF, make_rbm_family
+from conftest import GAP_NEAR, V_REF, make_rbm_family, random_spd
 from scoredetect import (BetaNetwork, DisjointnessError, Gaussian,
-                         LangevinConfig, LfdPair, MeanPolytope, ModelError,
-                         RngStream, ScoreMixture, TrainConfig,
-                         TrainingDivergedError, fisher_gaussian,
-                         gaussian_polytope_lfd, train_beta_networks,
-                         verify_drift_condition)
+                         GaussianMixture, LangevinConfig, LfdPair,
+                         MeanPolytope, ModelError, RngStream, ScoreMixture,
+                         TrainConfig, TrainingDivergedError, fisher_gaussian,
+                         fisher_mc, gaussian_polytope_lfd,
+                         train_beta_networks, verify_drift_condition)
 from scoredetect.lfd import loss_and_grads
 
 EYE2 = np.eye(2)
@@ -217,13 +219,12 @@ def test_drift_condition_reference_geometry(families, inf_a, inf_b):
     report = verify_drift_condition([inf_a, inf_b], pair.q_inf, pair.q_post, 50000,
                                     RngStream(702))
     assert report.verdict == "PASS"
-    # shared covariance means the score differences are constant, so the
-    # Monte Carlo gaps are exact up to rounding
+    # all-Gaussian rows are exact closed forms
     want_gaps = (-GAP_NEAR, 1.5625 / 4.84 - 3.0625 / 4.84)
     for row, want in zip(report.rows, want_gaps):
         assert row.verdict == "PASS"
         assert row.gap == pytest.approx(want, abs=1e-12)
-        assert row.gap_stderr < 1e-12
+        assert row.gap_stderr == 0.0
         assert row.fisher_inf >= 0.0 and row.fisher_post >= 0.0
 
 
@@ -233,15 +234,74 @@ def test_drift_condition_fails_on_an_identical_pair(inf_a, inf_b, post_a):
     assert all(row.gap == 0.0 and row.gap_stderr == 0.0 for row in report.rows)
 
 
-def test_drift_condition_inconclusive_when_underpowered(inf_a):
-    # both hypotheses equidistant from the data law and the inflated
-    # covariance makes the paired integrand noisy, so 50 draws cannot
-    # separate them
+def test_drift_condition_inconclusive_when_underpowered():
+    # a mixture is not Gaussian, so its row is a Monte Carlo estimate; its
+    # gap is about -0.012 against a paired spread that 50 draws cannot
+    # resolve, while 100k draws can
+    comps = [Gaussian([-0.7, 0.3], V_REF), Gaussian([0.3, -0.7], V_REF)]
+    p = GaussianMixture(comps, [0.5, 0.5])
     q_inf = Gaussian([0.25, 0.25], 1.3 * V_REF)
     q_post = Gaussian([-0.75, -0.75], 1.3 * V_REF)
-    report = verify_drift_condition([inf_a], q_inf, q_post, 50, RngStream(704))
+    report = verify_drift_condition([p], q_inf, q_post, 50, RngStream(704))
     assert report.verdict == "INCONCLUSIVE"
     assert report.rows[0].gap_stderr > 0.0
+    assert verify_drift_condition([p], q_inf, q_post, 100_000, RngStream(715)).verdict == "PASS"
+
+
+@pytest.mark.parametrize("d", [2, 10])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "different"])
+def test_exact_drift_rows_match_the_monte_carlo_oracle(shared, d):
+    gen = RngStream(716 + d).generator()
+    covs = [random_spd(gen, d)] * 3 if shared else [random_spd(gen, d) for _ in range(3)]
+    mean_p = 0.5 * gen.standard_normal(d)
+    means = (mean_p, mean_p + 0.1 * gen.standard_normal(d), mean_p + gen.standard_normal(d))
+    p, q_inf, q_post = (Gaussian(m, c) for m, c in zip(means, covs))
+    row = verify_drift_condition([p], q_inf, q_post, 2, RngStream(717)).rows[0]
+    assert (row.fisher_inf_stderr, row.fisher_post_stderr, row.gap_stderr) == (0.0, 0.0, 0.0)
+    assert row.verdict == "PASS"
+    # a one-component mixture is the same law but not a Gaussian, so its
+    # row is the paired Monte Carlo estimate of the same gap
+    mc = verify_drift_condition([GaussianMixture([p], [1.0])], q_inf, q_post, 200_000,
+                                RngStream(718)).rows[0]
+    oracles = (fisher_mc(p, q_inf, 200_000, RngStream(719)),
+               fisher_mc(p, q_post, 200_000, RngStream(720)), (mc.gap, mc.gap_stderr))
+    for exact, (est, se) in zip((row.fisher_inf, row.fisher_post, row.gap), oracles):
+        # a shared covariance makes each integrand constant, so its stderr
+        # is rounding noise (about 1e-19) and the mean a few ulps off
+        assert abs(exact - est) <= 3.0 * se + 1e-14
+
+
+def test_exact_drift_rows_draw_nothing(monkeypatch):
+    basis_inf, _ = make_rbm_family(RngStream(721))
+    rbm = basis_inf[0]
+    gauss = Gaussian(np.full(10, 0.5), np.eye(10))
+    q_inf, q_post = Gaussian(np.zeros(10), np.eye(10)), Gaussian(np.ones(10), np.eye(10))
+    calls = []
+    for model in (gauss, rbm):
+        def counted(n, rng, sample=model.sample, model=model):
+            calls.append((model, n))
+            return sample(n, rng)
+        monkeypatch.setattr(model, "sample", counted)
+    report = verify_drift_condition([gauss, rbm], q_inf, q_post, 500, RngStream(722))
+    assert calls == [(rbm, 500)]
+    assert report.rows[0].gap_stderr == 0.0 and report.rows[1].gap_stderr > 0.0
+    # the exact row takes nothing from the generator, so the Monte Carlo
+    # row draws what it would draw first in a basis of its own
+    alone = verify_drift_condition([rbm], q_inf, q_post, 500, RngStream(722))
+    assert report.rows[1] == dataclasses.replace(alone.rows[0], index=1)
+
+
+@pytest.mark.parametrize("p, q_inf, q_post, sign", [
+    # symmetric offsets under a shared inflated covariance: the gap is exactly zero
+    (Gaussian([-0.25, -0.25], V_REF), Gaussian([0.25, 0.25], 1.3 * V_REF),
+     Gaussian([-0.75, -0.75], 1.3 * V_REF), 0.0),
+    # offsets (0.3, 0.4) and (0.5, 0) in decimal: the gap rounds to -2.5 ulps
+    (Gaussian([1.1, 0.2], EYE2), Gaussian([1.4, 0.6], EYE2), Gaussian([1.6, 0.2], EYE2), -1.0),
+], ids=["zero", "ulps_negative"])
+def test_exact_drift_rows_fail_equidistant_pairs(p, q_inf, q_post, sign):
+    row = verify_drift_condition([p], q_inf, q_post, 2, RngStream(723)).rows[0]
+    assert np.sign(row.gap) == sign and abs(row.gap) < 1e-15
+    assert row.verdict == "FAIL"
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,10 @@ import pytest
 
 from conftest import (GAP_NEAR, TRACE_VINV, V_REF, assert_laplacians_match,
                       assert_scores_match, fd_divergence, fd_score,
-                      make_rbm_family)
+                      make_rbm_family, random_spd)
 from scoredetect import (BetaNetwork, Gaussian, GaussianMixture, Gbrbm,
                          ModelError, RngStream, ScoreMixture, fisher_gaussian,
                          fisher_mc, hutchinson_laplacian)
-
-
-def random_spd(gen, d):
-    a = gen.standard_normal((d, d))
-    return a @ a.T + d * np.eye(d)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +388,27 @@ def test_fisher_gaussian_closed_forms(inf_a, inf_b, post_a, post_b):
     assert fisher_gaussian(inf_a, post_b) == fisher_gaussian(post_b, inf_a)
 
 
-def test_fisher_gaussian_rejects_mismatched_covariances(inf_a):
-    other = Gaussian([0.0, 0.0], np.eye(2))
+def fisher_by_hand(p, q):
+    # E 0.5*||A y + b||^2 with y ~ N(0, V_p), A the inverse-cov difference
+    vp = np.asarray(p.cov)
+    a = np.linalg.inv(q.cov) - np.linalg.inv(vp)
+    b = np.linalg.inv(q.cov) @ (np.asarray(p.mean) - q.mean)
+    return 0.5 * (np.trace(a @ vp @ a.T) + b @ b)
+
+
+def test_fisher_gaussian_heteroscedastic_closed_form(inf_a, inf_b, post_a, post_b, gmm):
+    p = Gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.8]])
+    exact = fisher_gaussian(p, inf_a)
+    assert exact == pytest.approx(fisher_by_hand(p, inf_a), abs=1e-12)
+    est, se = fisher_mc(p, inf_a, 400_000, RngStream(445))
+    assert abs(est - exact) <= 3 * se
+    # bitwise-equal covariances make the trace term exactly zero, leaving
+    # the shared-covariance formula's bits
+    for a, b in ((post_a, inf_a), (inf_b, post_b), (inf_a, inf_b)):
+        v = a.cov_inv @ (a.mean - b.mean)
+        assert fisher_gaussian(a, b) == 0.5 * float(v @ v)
     with pytest.raises(ModelError, match="fisher_mc"):
-        fisher_gaussian(inf_a, other)
+        fisher_gaussian(gmm, inf_a)
 
 
 def test_fisher_mc_matches_closed_form(inf_a, post_a):
@@ -410,13 +422,8 @@ def test_fisher_mc_matches_closed_form(inf_a, post_a):
 def test_fisher_mc_heteroscedastic_pair(inf_a):
     p = Gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.8]])
     est, se = fisher_mc(p, inf_a, 100000, RngStream(419))
-    # E 0.5*||A y + b||^2 with y ~ N(0, V_p), A the inverse-cov difference
-    vp = np.asarray(p.cov)
-    a = np.linalg.inv(inf_a.cov) - np.linalg.inv(vp)
-    b = np.linalg.inv(inf_a.cov) @ (np.asarray(p.mean) - inf_a.mean)
-    want = 0.5 * (np.trace(a @ vp @ a.T) + b @ b)
     assert se > 0
-    assert abs(est - want) <= 3 * se
+    assert abs(est - fisher_by_hand(p, inf_a)) <= 3 * se
 
 
 def test_fisher_mc_identical_models_is_exactly_zero(inf_a):

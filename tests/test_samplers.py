@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,33 @@ def test_gibbs_decoupled_chain_matches_the_gaussian_marginal():
     assert draws.shape == (20000, 5)
     assert np.abs(draws.mean(axis=0) - b).max() < 3.5 / np.sqrt(20000)
     assert np.abs(draws.var(axis=0) - 1.0).max() < 0.05
+
+
+def test_gibbs_matches_the_enumerated_visible_marginal():
+    # summing out x from exp(-0.5||x - b||^2 + c.h + x.Wh) leaves
+    # p(h) ~ exp(c.h + b.Wh + 0.5||Wh||^2) with x | h ~ N(b + Wh, I), so the
+    # visible marginal is a 2^8-component Gaussian mixture; this member puts
+    # at most 0.31 on one hidden state and its covariance has eigenvalue 7.8
+    basis_inf, _ = make_rbm_family(RngStream(533))
+    model = basis_inf[0]
+    w, b, c = model.weights, model.visible_bias, model.hidden_bias
+    hid = np.array(list(itertools.product((0.0, 1.0), repeat=c.size)))
+    wh = hid @ w.T
+    logp = hid @ c + wh @ b + 0.5 * np.sum(wh * wh, axis=1)
+    weights = np.exp(logp - logp.max())
+    weights /= weights.sum()
+    mean = weights @ (b + wh)
+    centred = b + wh - mean
+    cov = np.eye(b.size) + centred.T @ (weights[:, None] * centred)
+    # the 64 lockstep chains come back concatenated, 313 draws each; their
+    # means are independent, so their spread gives batch-means stderrs
+    chains = gibbs_gbrbm(model, 64 * 313, rng=RngStream(513)).reshape(64, 313, b.size)
+    y = chains - mean
+    for per_chain, want in ((y.mean(axis=1), 0.0), (np.einsum("cki,ckj->cij", y, y) / 313, cov)):
+        se = per_chain.std(axis=0, ddof=1) / np.sqrt(64)
+        # 65 distinct moments, each z a t with 63 degrees of freedom: a 5 se
+        # bound keeps the family-wise false alarm near 3e-4
+        assert np.abs((per_chain.mean(axis=0) - want) / se).max() < 5.0
 
 
 def test_gibbs_determinism():
