@@ -10,7 +10,7 @@ benchmark harness.
 from .bench import (SweepRow, TrialSummary, arl_edd_sweep, estimate_drift,
                     run_lengths, write_sweep_csv)
 from .calibration import (CalibrationError, DriftSignError, RhoSolution,
-                          RHO_CAP, mgf_gap, solve_rho_star, threshold_for_arl)
+                          RHO_CAP, solve_rho_star, threshold_for_arl)
 from .detectors import (DetectorConfig, DetectorState, batch_scores,
                         cusum_log_lr_step, step)
 from .lfd import (BetaNetwork, DisjointnessError, DriftConditionReport,
@@ -36,7 +36,7 @@ __all__ = [
     "batch_scores", "cusum_log_lr_step", "dump_lfd_pair", "estimate_drift",
     "fisher_gaussian", "fisher_mc", "gaussian_polytope_lfd", "gibbs_gbrbm",
     "hutchinson_laplacian", "langevin_chain", "load_lfd_pair", "load_model",
-    "mgf_gap", "run_lengths", "solve_rho_star", "step",
+    "run_lengths", "solve_rho_star", "step",
     "threshold_for_arl", "train_beta_networks", "verify_drift_condition",
     "write_json", "write_sweep_csv",
 ]

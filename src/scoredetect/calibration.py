@@ -13,11 +13,14 @@ so its statistic already carries ``rho``, and the threshold for a target
 average run length ``gamma`` is ``omega = log(gamma)``, giving
 ``ARL >= exp(omega) = gamma`` for every admissible ``rho``.
 
-``h`` is estimated by Monte Carlo with common random numbers: the increment
-sample is drawn once and reused for every ``rho``, making the estimate a
-deterministic, smooth and strictly convex function of ``rho``.  Its root is
-found by geometric expansion to a point where the estimate is positive,
-then Newton steps, which fall monotonically onto the estimate's own root.
+One search finds it from the increment's mean ``m`` and variance ``s^2``:
+exact when ``p_inf`` is Gaussian and the detector's increment is affine in
+``x``, otherwise the moments of one increment sample drawn with common random
+numbers, which makes the estimate of ``h`` a deterministic, smooth and
+strictly convex function of ``rho``.  The search starts at the cumulant root
+``-2 m / s^2``, which is ``rho*`` itself for a Gaussian increment; on a
+sample, tangent steps (at most doubling) move it right of the estimate's
+root, and Newton steps fall monotonically back onto it.
 """
 
 import math
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectorConfig, affine_increment, batch_scores
+from .detectors import DetectorConfig, batch_scores
 from .models import Gaussian
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "CalibrationError",
     "DriftSignError",
     "RHO_CAP",
-    "mgf_gap",
     "solve_rho_star",
     "threshold_for_arl",
 ]
@@ -59,7 +61,7 @@ class RhoSolution:
     ``(rho, h_hat, stderr)`` triple.  ``rho_star_stderr`` is the Monte Carlo
     standard error of ``rho_star`` (``0.0`` for the closed form, ``None``
     when degenerate).  ``degenerate`` marks the case where ``h`` stayed
-    non-positive up to the cap, i.e. every multiplier in range satisfies the
+    negative up to the cap, i.e. every multiplier in range satisfies the
     false-alarm condition and ``rho_star`` equals the cap."""
 
     rho_star: float
@@ -74,12 +76,6 @@ class RhoSolution:
             raise ValueError("method must be 'closed_form' or 'monte_carlo'")
         if not self.rho_star > 0:
             raise ValueError("rho_star must be positive")
-
-
-def _draw_increments(p_inf, q_inf, q_post, n: int, rng) -> np.ndarray:
-    draws = p_inf.sample(n, rng)
-    cfg = DetectorConfig(q_inf, q_post, omega=0.0, rho=1.0)
-    return np.asarray(batch_scores(cfg, draws))
 
 
 def _h_from_increments(z: np.ndarray, rho: float):
@@ -109,80 +105,54 @@ def _h_from_increments(z: np.ndarray, rho: float):
     return math.expm1(log_mean), math.sqrt(var / z.size), slope
 
 
-def mgf_gap(p_inf, q_inf, q_post, rho: float, n: int, rng):
-    """Monte Carlo estimate of ``h(rho) = E_inf[exp(rho z)] - 1``.
-
-    Returns ``(estimate, stderr)``; exact ``(0.0, 0.0)`` at ``rho = 0``.
-    """
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    return _h_from_increments(_draw_increments(p_inf, q_inf, q_post, n, rng), rho)[:2]
-
-
-def _closed_form(p_inf, q_inf, q_post):
-    """For Gaussians sharing ``V`` the increment is affine in ``x`` (the
-    detector's own ``affine_increment`` at ``rho = 1``), so
-    ``h`` is a log-normal MGF minus one and the root is ``-2 m / s^2`` with
-    ``m``, ``s^2`` the increment mean and variance under ``p_inf``."""
-    models = (p_inf, q_inf, q_post)
-    if not (all(isinstance(m, Gaussian) for m in models)
-            and all(np.abs(m.cov - p_inf.cov).max() <= 1e-10 for m in models[1:])):
-        raise CalibrationError(
-            "closed-form calibration needs Gaussian models with a shared covariance"
-        )
-    coef, const = affine_increment(p_inf.cov_inv, q_inf.mean, q_post.mean)
-    mean = float(coef @ p_inf.mean) + const
-    var = float(coef @ p_inf.cov @ coef)
-    if mean >= 0:
-        raise DriftSignError(
-            "nearness assumption violated: pre-change drift is non-negative"
-        )
-    rho = -2.0 * mean / var
-    curve = tuple(
-        (r, math.expm1(r * mean + 0.5 * r * r * var), 0.0)
-        for r in (0.5 * rho, rho, 1.5 * rho)
-    )
-    return RhoSolution(rho, curve, "closed_form")
-
-
 def solve_rho_star(p_inf, q_inf, q_post, n: int, rng,
                    method: str = "monte_carlo") -> RhoSolution:
     """Find the largest multiplier whose scaled increment satisfies the
     false-alarm condition ``E_inf[exp(rho z)] <= 1``.
 
-    The Monte Carlo route draws the increment sample once (common random
-    numbers), checks that the empirical drift is negative beyond 3 standard
-    errors, and expands ``rho`` geometrically from 1 until the estimate is
-    positive beyond 3 standard errors (cap ``RHO_CAP``).  The estimate is
-    strictly convex, so Newton steps from there fall monotonically onto its
-    root; they stop at the first step that does not lower ``rho``.  The
-    root's standard error is the delta-method ``se(h) / h'`` there.  Hitting
-    the cap returns a degenerate solution with ``rho_star = RHO_CAP``.
-    ``method='closed_form'`` uses the shared-covariance Gaussian formula
-    instead; ``'auto'`` prefers the closed form when applicable.
+    The search takes the increment's mean ``m`` and variance ``s^2``: exact
+    (``a . mu_p + c`` and ``a' V_p a``, stderr 0) when ``p_inf`` is a
+    ``Gaussian`` and ``DetectorConfig(q_inf, q_post)`` builds its affine
+    increment ``x . a + c``, else the moments of ``n`` increments drawn once
+    from ``rng``.  ``method='closed_form'`` demands the exact moments,
+    ``'monte_carlo'`` always samples and ``'auto'`` prefers the exact ones.
+
+    ``m`` must be negative beyond 3 standard errors.  The search starts at
+    the cumulant root ``-2 m / s^2``; on exact moments that is ``rho*``,
+    returned with ``h`` at half, one and 1.5 times it.  On a sample, whose
+    estimate is strictly convex, a point with ``h_hat < 0`` moves up to the
+    smaller of twice itself and its tangent's zero, which lies right of the
+    estimate's root.  From the first point with ``h_hat >= 0``, Newton steps
+    fall monotonically onto the root and stop at the first step that does
+    not lower ``rho``; the root's standard error is the delta-method
+    ``se(h) / h'`` there.  No point exceeds ``RHO_CAP``: a zero-variance
+    sample starts at it, and ``h_hat < 0`` there returns a degenerate
+    solution with ``rho_star = RHO_CAP``.
     """
-    if method == "auto":
-        try:
-            return _closed_form(p_inf, q_inf, q_post)
-        except CalibrationError:
-            method = "monte_carlo"
-    elif method == "closed_form":
-        return _closed_form(p_inf, q_inf, q_post)
-    elif method != "monte_carlo":
+    if method not in ("monte_carlo", "closed_form", "auto"):
         raise ValueError("method must be 'monte_carlo', 'closed_form', or 'auto'")
     if n < 2:
         raise ValueError("need at least 2 samples")
-
-    z = _draw_increments(p_inf, q_inf, q_post, n, rng)
-    drift = float(z.mean())
-    drift_se = float(z.std(ddof=1) / math.sqrt(z.size))
-    if drift >= -3.0 * drift_se:
-        raise DriftSignError(
-            "nearness assumption violated: empirical pre-change drift "
-            f"{drift:.6g} (stderr {drift_se:.2g}) is not negative beyond 3 stderr"
-        )
+    cfg = DetectorConfig(q_inf, q_post, omega=0.0)
+    exact = method != "monte_carlo" and cfg._affine is not None and isinstance(p_inf, Gaussian)
+    if method == "closed_form" and not exact:
+        raise CalibrationError("closed-form calibration needs a Gaussian p_inf and a Gaussian"
+                               " pair whose covariances are equal bit for bit")
+    if exact:
+        a, c = cfg._affine
+        mean, var, se = float(a @ p_inf.mean) + c, float(a @ p_inf.cov @ a), 0.0
+    else:
+        z = np.asarray(batch_scores(cfg, p_inf.sample(n, rng)))
+        mean, var = float(z.mean()), float(z.var(ddof=1))
+        se = math.sqrt(var / n)
+    if not mean < -3.0 * se:
+        raise DriftSignError(f"nearness assumption violated: pre-change drift {mean:.6g}"
+                             f" (stderr {se:.2g}) is not negative beyond 3 stderr")
+    rho = -2.0 * mean / var if var > 0 else RHO_CAP
+    if exact:
+        curve = tuple((r, math.expm1(r * mean + 0.5 * r * r * var), 0.0)
+                      for r in (0.5 * rho, rho, 1.5 * rho))
+        return RhoSolution(rho, curve, "closed_form")
 
     curve = []
 
@@ -191,19 +161,18 @@ def solve_rho_star(p_inf, q_inf, q_post, n: int, rng,
         curve.append((rho, h_hat, se))
         return h_hat, se, slope
 
-    rho = 1.0
+    rho = min(rho, RHO_CAP)
     h_hat, se, slope = h_at(rho)
-    while not h_hat > 3.0 * se:
-        rho *= 2.0
-        if rho > RHO_CAP:
-            return RhoSolution(
-                RHO_CAP, tuple(curve), "monte_carlo", None, degenerate=True,
-                message=(
-                    "h stayed non-positive up to the cap; every multiplier in "
-                    "range satisfies the false-alarm condition"
-                ),
-            )
+    while h_hat < 0:
+        up = min(rho - h_hat / slope if slope > 0 else math.inf, 2.0 * rho, RHO_CAP)
+        if not up > rho:  # at the cap, or the tangent's zero rounds to rho
+            break
+        rho = up
         h_hat, se, slope = h_at(rho)
+    if h_hat < 0 and rho == RHO_CAP:
+        return RhoSolution(RHO_CAP, tuple(curve), "monte_carlo", None, degenerate=True,
+                           message="h stayed negative up to the cap; every multiplier in"
+                                   " range satisfies the false-alarm condition")
     while (step := rho - h_hat / slope) < rho:
         rho = step
         h_hat, se, slope = h_at(rho)

@@ -178,7 +178,9 @@ def cmd_lfd(cfg, args):
     verify_basis = None  # an analytic pair is checked against its pre-change vertices
     if "basis_inf" in verify or (verify and method == "learned"):
         verify_basis = _named_models(table, verify, "basis_inf", "lfd.verify")
-    stream = _seed_stream(cfg, args) if verify or method == "learned" else None
+    # an analytic pair is Gaussian, so only a non-Gaussian member's drift row draws
+    sampled = method == "learned" or any(not isinstance(p, Gaussian) for p in verify_basis or ())
+    stream = _seed_stream(cfg, args) if sampled else None
     out = _out_dir(cfg, args)
     if method == "analytic":
         cov, pre, post = (float_array(_require(section, key, "lfd"), f"lfd.{key}")
@@ -231,7 +233,7 @@ def cmd_lfd(cfg, args):
         )
     if verify:
         rep = verify_drift_condition(verify_basis, pair.q_inf, pair.q_post, verify_n,
-                                     stream.substream(9).generator())
+                                     stream and stream.substream(9).generator())
         for row in rep.rows:
             print(
                 f"vertex {row.index}: gap={row.gap:.6g} (stderr {row.gap_stderr:.2g})"

@@ -46,15 +46,6 @@ from .models import ModelError, Gaussian, hutchinson_laplacian  # noqa: F401
 __all__ = ["DetectorConfig", "DetectorState", "batch_scores", "step", "cusum_log_lr_step"]
 
 
-def affine_increment(vinv, mean_inf, mean_post, rho=1.0):
-    """``(a, c)`` with ``rho * (S(x, inf) - S(x, post)) = x . a + c`` for two
-    Gaussians sharing the inverse covariance ``vinv``."""
-    a = rho * (vinv @ vinv @ (mean_post - mean_inf))
-    c = 0.5 * rho * float(mean_inf @ vinv @ vinv @ mean_inf
-                          - mean_post @ vinv @ vinv @ mean_post)
-    return a, c
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Model pair, alarm threshold, and score multiplier.
@@ -80,8 +71,10 @@ class DetectorConfig:
             raise ValueError("rho must be positive")
         q, p = self.model_inf, self.model_post
         if type(q) is Gaussian and type(p) is Gaussian and np.array_equal(q.cov, p.cov):
-            object.__setattr__(self, "_affine",
-                               affine_increment(q.cov_inv, q.mean, p.mean, self.rho))
+            vinv, rho = q.cov_inv, self.rho
+            a = rho * (vinv @ vinv @ (p.mean - q.mean))
+            c = 0.5 * rho * float(q.mean @ vinv @ vinv @ q.mean - p.mean @ vinv @ vinv @ p.mean)
+            object.__setattr__(self, "_affine", (a, c))
 
 
 @dataclass

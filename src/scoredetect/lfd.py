@@ -215,51 +215,40 @@ def verify_drift_condition(basis_inf, q_inf, q_post, n: int, rng) -> DriftCondit
     across the whole class.
 
     A row whose ``P``, ``q_inf`` and ``q_post`` are all Gaussian is exact
-    (:func:`fisher_gaussian`): it draws nothing, its standard errors are
-    ``0.0``, and it passes only when the gap is below ``-8 d eps (D_inf +
-    D_post)``, which bounds the closed forms' rounding, so an equidistant
-    pair fails.  Any other row estimates both divergences from the same
-    ``n`` draws of ``P``, taken from ``rng`` in row order, so its gap standard
-    error is that of the paired difference.  Verdicts: ``PASS`` when the gap
-    is negative by more than 3 standard errors, ``FAIL`` when it is
-    non-negative beyond doubt, ``INCONCLUSIVE`` otherwise.
+    (:func:`fisher_gaussian`): it draws nothing and its standard errors are
+    ``0.0``.  Any other row estimates both divergences from the same ``n``
+    draws of ``P``, taken from ``rng`` in row order, so its gap standard
+    error is that of the paired difference; ``rng`` may be ``None`` when
+    every row is exact.  Every row uses the rounding floor ``tol = 8 d eps
+    (D_inf + D_post)``.  Verdicts: ``PASS`` when the gap is below both
+    ``-tol`` and minus 3 standard errors, ``FAIL`` when it is above 3
+    standard errors or when 3 standard errors fall within ``tol``, so an
+    equidistant pair fails, and ``INCONCLUSIVE`` otherwise.
     """
     if n < 2:
         raise ValueError("need at least 2 samples per basis member")
-    gen = as_generator(rng)
+    gen = None if rng is None else as_generator(rng)
     rows = []
     for i, p in enumerate(basis_inf):
         if all(isinstance(m, Gaussian) for m in (p, q_inf, q_post)):
             d_inf, d_post = fisher_gaussian(p, q_inf), fisher_gaussian(p, q_post)
-            tol = 8 * p.dim * np.finfo(float).eps * (d_inf + d_post)
-            rows.append(DriftConditionRow(i, d_inf, 0.0, d_post, 0.0, d_inf - d_post, 0.0,
-                                          "PASS" if d_inf - d_post < -tol else "FAIL"))
-            continue
-        draws = p.sample(n, gen)
-        s_p = np.asarray(p.score(draws))
-        t_inf = 0.5 * np.sum((s_p - np.asarray(q_inf.score(draws))) ** 2, axis=-1)
-        t_post = 0.5 * np.sum((s_p - np.asarray(q_post.score(draws))) ** 2, axis=-1)
-        gap_vals = t_inf - t_post
-        gap = float(gap_vals.mean())
-        gap_se = float(gap_vals.std(ddof=1) / math.sqrt(n))
-        if gap < -3.0 * gap_se:
+            row = (d_inf, 0.0, d_post, 0.0, d_inf - d_post, 0.0)
+        else:
+            draws = p.sample(n, gen)
+            s_p = np.asarray(p.score(draws))
+            t_inf = 0.5 * np.sum((s_p - np.asarray(q_inf.score(draws))) ** 2, axis=-1)
+            t_post = 0.5 * np.sum((s_p - np.asarray(q_post.score(draws))) ** 2, axis=-1)
+            row = tuple(float(f) for t in (t_inf, t_post, t_inf - t_post)
+                        for f in (t.mean(), t.std(ddof=1) / math.sqrt(n)))
+        d_inf, _, d_post, _, gap, gap_se = row
+        tol = 8 * p.dim * np.finfo(float).eps * (d_inf + d_post)
+        if gap < -max(3.0 * gap_se, tol):
             verdict = "PASS"
-        elif gap > 3.0 * gap_se or (gap_se == 0.0 and gap >= 0.0):
+        elif gap > 3.0 * gap_se or 3.0 * gap_se <= tol:
             verdict = "FAIL"
         else:
             verdict = "INCONCLUSIVE"
-        rows.append(
-            DriftConditionRow(
-                index=i,
-                fisher_inf=float(t_inf.mean()),
-                fisher_inf_stderr=float(t_inf.std(ddof=1) / math.sqrt(n)),
-                fisher_post=float(t_post.mean()),
-                fisher_post_stderr=float(t_post.std(ddof=1) / math.sqrt(n)),
-                gap=gap,
-                gap_stderr=gap_se,
-                verdict=verdict,
-            )
-        )
+        rows.append(DriftConditionRow(i, *row, verdict))
     return DriftConditionReport(tuple(rows))
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import GAP_NEAR, V_REF, drift_stats
-from scoredetect import (CalibrationError, DriftSignError, Gaussian,
-                         GaussianMixture, RHO_CAP, RhoSolution,
-                         RngStream, gaussian_polytope_lfd, mgf_gap,
+from scoredetect import (CalibrationError, DetectorConfig, DriftSignError,
+                         Gaussian, GaussianMixture, RHO_CAP, RhoSolution,
+                         RngStream, batch_scores, gaussian_polytope_lfd,
                          solve_rho_star, threshold_for_arl)
-from scoredetect.calibration import _draw_increments, _h_from_increments
+from scoredetect.calibration import _h_from_increments
 
 RHO_STAR = 2.2  # -2m/s^2 for the reference geometry
 
@@ -20,29 +20,34 @@ def pair(families):
     return lfd.q_inf, lfd.q_post
 
 
+def increments(p_inf, q_inf, q_post, n, seed):
+    """The ``n`` increments the Monte Carlo route draws from ``RngStream(seed)``."""
+    return batch_scores(DetectorConfig(q_inf, q_post, omega=0.0), p_inf.sample(n, RngStream(seed)))
+
+
 # ---------------------------------------------------------------------------
 # the h curve
 
 
 def test_h_is_exactly_zero_at_rho_zero(inf_a, pair):
-    assert mgf_gap(inf_a, *pair, 0.0, 100, RngStream(801)) == (0.0, 0.0)
+    assert _h_from_increments(increments(inf_a, *pair, 100, 801), 0.0)[:2] == (0.0, 0.0)
 
 
 def test_h_at_one_matches_the_lognormal_value(inf_a, pair):
     # the increment is linear in x, so exp(z) is lognormal with known MGF
     m, var = drift_stats(inf_a.mean, *(q.mean for q in pair))
     want = math.expm1(m + 0.5 * var)
-    est, se = mgf_gap(inf_a, *pair, 1.0, 400000, RngStream(802))
+    est, se, _ = _h_from_increments(increments(inf_a, *pair, 400000, 802), 1.0)
     assert se > 0
     assert abs(est - want) <= 3 * se
     assert want == pytest.approx(-0.0277811, abs=1e-6)
 
 
 def test_h_curve_is_convex_under_common_random_numbers(inf_a, pair):
-    # reusing the stream reuses the draws, so the estimated curve is an
+    # one increment sample for every rho makes the estimated curve an
     # exact convex function of rho
-    rhos = np.linspace(0.0, 3.0, 13)
-    h = [mgf_gap(inf_a, *pair, float(r), 20000, RngStream(803))[0] for r in rhos]
+    z = increments(inf_a, *pair, 20000, 803)
+    h = [_h_from_increments(z, float(r))[0] for r in np.linspace(0.0, 3.0, 13)]
     second = np.diff(h, 2)
     assert second.min() >= -1e-12
     assert h[1] < 0.0  # negative drift pulls h below zero near the origin
@@ -72,10 +77,28 @@ def test_closed_form_same_for_every_pre_change_vertex(inf_b, pair):
     assert sol.rho_star == pytest.approx(-2.0 * m / var, abs=1e-12)
 
 
-def test_closed_form_rejects_mismatched_covariances(inf_a, pair):
-    other = Gaussian(inf_a.mean, 1.3 * V_REF)
-    with pytest.raises(CalibrationError, match="shared covariance"):
-        solve_rho_star(other, *pair, 2, RngStream(806), method="closed_form")
+def test_closed_form_takes_any_pre_change_covariance(inf_a, pair):
+    # the increment stays affine in x, so under N(mu, 1.3 V) it is Gaussian
+    # with the same mean and 1.3 times the variance
+    wide = Gaussian(inf_a.mean, 1.3 * V_REF)
+    exact = solve_rho_star(wide, *pair, 2, RngStream(806), method="closed_form")
+    assert exact.method == "closed_form"
+    assert exact.rho_star == pytest.approx(RHO_STAR / 1.3, rel=1e-12)
+    sol = solve_rho_star(wide, *pair, 200000, RngStream(806))
+    assert sol.method == "monte_carlo"
+    assert abs(sol.rho_star - exact.rho_star) <= 4.0 * sol.rho_star_stderr
+
+
+@pytest.mark.parametrize("scale, shift", [(1.3, 0.0), (1.0, 1e-12)], ids=["wider", "rounded"])
+def test_closed_form_rejects_a_pair_whose_covariances_differ(inf_a, pair, scale, shift):
+    # the detector's increment is affine only for covariances equal bit for
+    # bit, and the closed form applies exactly when it is
+    q_post = Gaussian(pair[1].mean, scale * V_REF + shift)
+    with pytest.raises(CalibrationError, match="bit for bit"):
+        solve_rho_star(inf_a, pair[0], q_post, 2, RngStream(806), method="closed_form")
+    sol = solve_rho_star(inf_a, pair[0], q_post, 20000, RngStream(806), method="auto")
+    assert sol.method == "monte_carlo"
+    assert not sol.degenerate and sol.rho_star_stderr > 0.0
 
 
 def test_auto_prefers_the_closed_form(inf_a, pair):
@@ -111,13 +134,17 @@ def test_monte_carlo_root_is_the_estimates_own_root(inf_a, pair):
     n = 200000
     sol = solve_rho_star(inf_a, *pair, n, RngStream(809))
     assert sol.h_curve[-1][0] == sol.rho_star
-    # Newton falls monotonically from the first point beyond 3 stderr
+    # the search starts at the sample's cumulant root -2 m / s^2; points
+    # below the estimate's root move up, never more than doubling, and
+    # Newton falls monotonically from the first point at or above it
+    z = increments(inf_a, *pair, n, 809)
     rhos = [r for r, _, _ in sol.h_curve]
-    first = next(i for i, (_, h, se) in enumerate(sol.h_curve) if h > 3.0 * se)
-    assert rhos[:first + 1] == [2.0 ** i for i in range(first + 1)]
+    assert rhos[0] == -2.0 * float(z.mean()) / float(z.var(ddof=1))
+    first = next(i for i, (_, h, _) in enumerate(sol.h_curve) if h >= 0.0)
+    assert all(a < b <= 2.0 * a for a, b in zip(rhos[:first], rhos[1:first + 1]))
     assert all(b < a for a, b in zip(rhos[first:], rhos[first + 1:]))
+    assert len(rhos) <= 5
     # one more Newton step on the same increments does not lower it
-    z = _draw_increments(inf_a, *pair, n, RngStream(809))
     h_hat, se, slope = _h_from_increments(z, sol.rho_star)
     assert not sol.rho_star - h_hat / slope < sol.rho_star
     # the reported stderr is the delta-method value at the root, close to
@@ -130,7 +157,7 @@ def test_monte_carlo_root_is_the_estimates_own_root(inf_a, pair):
 
 
 def test_slope_matches_a_central_difference(inf_a, pair):
-    z = _draw_increments(inf_a, *pair, 20000, RngStream(820))
+    z = increments(inf_a, *pair, 20000, 820)
     for rho in (0.5, 2.2, 8.0):
         step = 1e-5 * rho
         up, down = (_h_from_increments(z, rho + sign * step)[0] for sign in (1, -1))
@@ -185,10 +212,20 @@ class _SpikerPost(_Spiker):
 
 
 def test_mgf_overflow_is_reported():
+    # exp(800 rho) squared passes the largest double at rho = 1
+    z = increments(_Spiker(), _Spiker(), _SpikerPost(), 2000, 813)
     with pytest.raises(CalibrationError, match="overflow"):
-        mgf_gap(_Spiker(), _Spiker(), _SpikerPost(), 1.0, 2000, RngStream(813))
-    with pytest.raises(CalibrationError, match="overflow"):
-        solve_rho_star(_Spiker(), _Spiker(), _SpikerPost(), 2000, RngStream(814))
+        _h_from_increments(z, 1.0)
+
+
+def test_an_outlier_does_not_overflow_the_search():
+    # the cumulant root starts far below where exp(800 rho) overflows, and
+    # Newton falls from there onto the estimate's root
+    sol = solve_rho_star(_Spiker(), _Spiker(), _SpikerPost(), 2000, RngStream(814))
+    assert sol.method == "monte_carlo" and not sol.degenerate
+    rho, h_hat, se = sol.h_curve[-1]
+    assert rho == sol.rho_star and 0.0 < rho < 0.01
+    assert abs(h_hat) <= 3.0 * se
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +260,6 @@ def test_rho_solution_validation():
 
 
 def test_solver_validation(inf_a, pair):
-    with pytest.raises(ValueError):
-        mgf_gap(inf_a, *pair, -1.0, 100, RngStream(815))
-    with pytest.raises(ValueError):
-        mgf_gap(inf_a, *pair, 1.0, 1, RngStream(816))
     with pytest.raises(ValueError):
         solve_rho_star(inf_a, *pair, 1, RngStream(817))
     with pytest.raises(ValueError):

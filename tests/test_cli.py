@@ -201,6 +201,35 @@ def test_lfd_analytic_reference_geometry(tmp_path, capsys):
     assert np.array_equal(pair.q_post.mean, MEAN_POST_A)
 
 
+def test_lfd_analytic_drift_check_needs_no_seed(tmp_path, capsys):
+    # every drift row of an analytic pair against Gaussian members is exact
+    # and draws nothing, so the run needs no seed and a seed changes nothing
+    cfg = base_config(lfd={"method": "analytic", "cov": COV,
+                           "pre_vertices": [list(MEAN_INF_A), list(MEAN_INF_B)],
+                           "post_vertices": [list(MEAN_POST_A), list(MEAN_POST_B)],
+                           "verify": {"basis_inf": ["inf_a", "inf_b"]}})
+    path = write_config(tmp_path, cfg)
+    texts = []
+    for flag in ([], ["--seed", "11"]):
+        assert main(["--config", path, *flag, "--out", str(tmp_path), "lfd"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert "drift_condition=PASS" in texts[0]
+    assert texts[0] == texts[1]
+
+
+def test_lfd_non_gaussian_verify_member_requires_a_seed(tmp_path, capsys):
+    cfg = base_config(lfd={"method": "analytic", "cov": COV,
+                           "pre_vertices": [list(MEAN_INF_A)], "post_vertices": [list(MEAN_POST_A)],
+                           "verify": {"basis_inf": ["inf_a", "mix"]}})
+    cfg["models"]["mix"] = {"type": "gmm", "weights": [1.0],
+                            "components": [cfg["models"]["inf_a"]]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "lfd"]) == 2
+    assert "an explicit seed is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def learned_section(with_seed=True):
     cfg = base_config(lfd={
         "method": "learned",

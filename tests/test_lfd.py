@@ -304,6 +304,18 @@ def test_exact_drift_rows_fail_equidistant_pairs(p, q_inf, q_post, sign):
     assert row.verdict == "FAIL"
 
 
+def test_monte_carlo_drift_rows_fail_equidistant_pairs():
+    # a one-component mixture of the "ulps_negative" member above: its row is
+    # a Monte Carlo estimate whose paired integrand is constant up to
+    # rounding, so a gap and stderr far below the exact rows' rounding floor
+    # fail as the exact row does
+    p = GaussianMixture([Gaussian([1.1, 0.2], EYE2)], [1.0])
+    q_inf, q_post = Gaussian([1.4, 0.6], EYE2), Gaussian([1.6, 0.2], EYE2)
+    row = verify_drift_condition([p], q_inf, q_post, 1000, RngStream(724)).rows[0]
+    assert -1e-16 < row.gap < -3.0 * row.gap_stderr < 0.0
+    assert row.verdict == "FAIL"
+
+
 # ---------------------------------------------------------------------------
 # weight networks
 
